@@ -12,8 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-Rational = Fraction
-
 
 def normalize(value: int | Fraction) -> int | Fraction:
     """Canonicalize an exact number: Fraction with denominator 1 becomes int.

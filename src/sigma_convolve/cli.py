@@ -171,18 +171,18 @@ def _check_cube(order: int) -> tuple[bool, int]:
 
 def _check_royer(order: int) -> tuple[bool, int]:
     eff = max(order, 8)
-    taus = deltaforms.TauTables.at_order(eff)
+    table = CuspTable(eff)
     ok = all(
-        deltaforms.w_1_14_royer(n, taus) == convolution.w_brute(1, 14, n)
+        deltaforms.w_1_14_royer(n, table) == convolution.w_brute(1, 14, n)
         for n in range(1, eff + 1)
     )
     return ok, eff
 
 def _check_lemire(order: int) -> tuple[bool, int]:
     eff = max(order, 3)
-    u = deltaforms.delta_4_7_cuberoot(eff)
+    table = CuspTable(eff)
     ok = all(
-        deltaforms.w_1_7_lemire(n, u) == convolution.w_brute(1, 7, n)
+        deltaforms.w_1_7_lemire(n, table) == convolution.w_brute(1, 7, n)
         for n in range(1, eff + 1)
     )
     return ok, eff
@@ -304,16 +304,9 @@ def cmd_r7(args: argparse.Namespace) -> int:
 
 # -- delta ----------------------------------------------------------------
 
-_DELTA_BUILDERS = {
-    "4,7": deltaforms.delta_4_7_eta,
-    "4,14,1": lambda order: deltaforms.delta_4_14(1, order),
-    "4,14,2": lambda order: deltaforms.delta_4_14(2, order),
-}
-
-
 def cmd_delta(args: argparse.Namespace) -> int:
     terms = _require_positive(args.terms, "--terms")
-    series = _DELTA_BUILDERS[args.form](terms)
+    series = deltaforms.delta_series(args.form, terms)
     rows = [[n, series.coefficient(n)] for n in range(1, terms + 1)]
     _emit(args.format, ["n", "coefficient"], rows)
     return EXIT_OK
@@ -382,7 +375,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_r7)
 
     p = sub.add_parser("delta", help="coefficients of the named cusp form")
-    p.add_argument("--form", choices=sorted(_DELTA_BUILDERS), required=True)
+    p.add_argument("--form", choices=sorted(deltaforms.DELTA_FORMS), required=True)
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_delta)

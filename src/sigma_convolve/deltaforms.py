@@ -3,19 +3,17 @@ and the classical convolution formulas they feed.
 
 The level-7 form comes from a cube root of a sum of three eta products
 and, separately, as C_1 + 4 C_2; the two level-14 forms are combinations
-of C_2, C_3, C_4. The published W_{1,7} and W_{1,14} formulas evaluated
-through these series are cross-checked against brute force, which
-validates the identifications without any external coefficient tables.
+of C_2, C_3, C_4. All three combinations live in one table,
+``DELTA_FORMS``. The published W_{1,7} and W_{1,14} formulas are term data
+on those forms, evaluated through the cusp table by the shared evaluator
+and cross-checked against brute force, which validates the
+identifications without any external coefficient tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .arith import sigma, sigma_scaled
-from .errors import NonIntegralResult
-from .eta import EtaQuotientSpec, c_series, expand
+from .convolution import DELTA_FORMS, evaluate, form_terms, sigma1_terms, sigma3_terms
+from .eta import CuspTable, EtaQuotientSpec, c_series, expand
 from .qseries import QSeries
 
 # the three weight-12 eta products whose weighted sum has a cube root
@@ -47,112 +45,50 @@ def delta_4_7_cuberoot(order: int) -> QSeries:
     return cube_bracket(order + 2).cube_root(3)
 
 
+def delta_series(form: str, order: int) -> QSeries:
+    """The named form of DELTA_FORMS as its generator combination."""
+    acc = QSeries.zero(order)
+    for j, coef in DELTA_FORMS[form].items():
+        acc = acc + coef * c_series(j, order)
+    return acc
+
+
 def delta_4_7_eta(order: int) -> QSeries:
-    """The same form as the eta-quotient combination C_1 + 4 C_2."""
-    return c_series(1, order) + 4 * c_series(2, order)
+    """The level-7 form as the eta-quotient combination C_1 + 4 C_2."""
+    return delta_series("4,7", order)
 
 
 def delta_4_14(which: int, order: int) -> QSeries:
     """The two level-14 forms: 1 -> -C_3 + C_4, 2 -> -4 C_2 + C_3 + C_4."""
-    if which == 1:
-        return -c_series(3, order) + c_series(4, order)
-    if which == 2:
-        return -4 * c_series(2, order) + c_series(3, order) + c_series(4, order)
-    raise ValueError(f"which must be 1 or 2, got {which}")
+    if which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which}")
+    return delta_series(f"4,14,{which}", order)
 
 
-@dataclass(frozen=True)
-class TauTables:
-    """Coefficient tables of the three forms at one shared order."""
+# bench/tracer.py looks up TauTables.at_order by name and fails when the
+# name is missing; drop this alias once the tracer skips absent owners.
+TauTables = CuspTable
 
-    tau_4_7: QSeries
-    tau_4_14_1: QSeries
-    tau_4_14_2: QSeries
-    order: int
+# W_{1,14}: the t47(n/2) term of the published formula is "4,7" at d = 2
+ROYER_1_14 = (
+    *sigma3_terms({1: "1/600", 2: "1/150", 7: "49/600", 14: "49/150"}),
+    *sigma1_terms({1: ("1/24", "-1/56"), 14: ("1/24", "-1/4")}),
+    *form_terms({"4,7": "-3/350", "4,14,1": "-1/84", "4,14,2": "-1/200"}),
+    *form_terms({"4,7": "-6/175"}, d=2),
+)
 
-    @classmethod
-    def at_order(cls, order: int) -> "TauTables":
-        return cls(
-            tau_4_7=delta_4_7_eta(order),
-            tau_4_14_1=delta_4_14(1, order),
-            tau_4_14_2=delta_4_14(2, order),
-            order=order,
-        )
-
-    def _coeff(self, series: QSeries, n: int) -> int | Fraction:
-        return series.coefficient(n) if n >= 1 else 0
-
-    def t47(self, n: int) -> int | Fraction:
-        return self._coeff(self.tau_4_7, n)
-
-    def t4141(self, n: int) -> int | Fraction:
-        return self._coeff(self.tau_4_14_1, n)
-
-    def t4142(self, n: int) -> int | Fraction:
-        return self._coeff(self.tau_4_14_2, n)
+LEMIRE_1_7 = (
+    *sigma3_terms({1: "1/120", 7: "49/120"}),
+    *sigma1_terms({1: ("1/24", "-1/28"), 7: ("1/24", "-1/4")}),
+    *form_terms({"4,7": "-1/70"}),
+)
 
 
-_tau_tables: TauTables | None = None
+def w_1_14_royer(n: int, cusp: CuspTable | None = None) -> int:
+    """W_{1,14}(n) by the published level-14 formula."""
+    return evaluate(ROYER_1_14, n, cusp, "W(1,14)")
 
 
-def shared_tau_tables(min_order: int) -> TauTables:
-    global _tau_tables
-    if _tau_tables is None or _tau_tables.order < min_order:
-        current = 0 if _tau_tables is None else _tau_tables.order
-        _tau_tables = TauTables.at_order(max(min_order, 2 * current, 64))
-    return _tau_tables
-
-
-_u_series: QSeries | None = None
-
-
-def shared_u_series(min_order: int) -> QSeries:
-    """Cube-root coefficients u(n), grown monotonically."""
-    global _u_series
-    if _u_series is None or _u_series.order < min_order:
-        current = 0 if _u_series is None else _u_series.order
-        _u_series = delta_4_7_cuberoot(max(min_order, 2 * current, 64))
-    return _u_series
-
-
-def _as_integer(total: Fraction, label: str) -> int:
-    if total.denominator != 1:
-        raise NonIntegralResult(f"{label} evaluated to {total}")
-    return total.numerator
-
-
-def w_1_14_royer(n: int, taus: TauTables | None = None) -> int:
-    """W_{1,14}(n) by the published level-14 formula, with the cusp-form
-    coefficients taken from the eta-quotient identifications."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    t = taus if taus is not None else shared_tau_tables(n)
-    total = (
-        Fraction(1, 600) * sigma(3, n)
-        + Fraction(1, 150) * sigma_scaled(3, n, 2)
-        + Fraction(49, 600) * sigma_scaled(3, n, 7)
-        + Fraction(49, 150) * sigma_scaled(3, n, 14)
-        + (Fraction(1, 24) - Fraction(n, 56)) * sigma(1, n)
-        + (Fraction(1, 24) - Fraction(n, 4)) * sigma_scaled(1, n, 14)
-        - Fraction(3, 350) * t.t47(n)
-        - Fraction(6, 175) * (t.t47(n // 2) if n % 2 == 0 else 0)
-        - Fraction(1, 84) * t.t4141(n)
-        - Fraction(1, 200) * t.t4142(n)
-    )
-    return _as_integer(total, f"W(1,14)({n})")
-
-
-def w_1_7_lemire(n: int, u_series: QSeries | None = None) -> int:
-    """W_{1,7}(n) by the published level-7 formula, with u(n) read from the
-    cube-root series."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    u = u_series if u_series is not None else shared_u_series(n)
-    total = (
-        Fraction(1, 120) * sigma(3, n)
-        + Fraction(49, 120) * sigma_scaled(3, n, 7)
-        + (Fraction(1, 24) - Fraction(n, 28)) * sigma(1, n)
-        + (Fraction(1, 24) - Fraction(n, 4)) * sigma_scaled(1, n, 7)
-        - Fraction(1, 70) * u.coefficient(n)
-    )
-    return _as_integer(total, f"W(1,7)({n})")
+def w_1_7_lemire(n: int, cusp: CuspTable | None = None) -> int:
+    """W_{1,7}(n) by the published level-7 formula."""
+    return evaluate(LEMIRE_1_7, n, cusp, "W(1,7)")

@@ -242,7 +242,3 @@ class QSeries:
         body = " + ".join(terms) if terms else "0"
         return f"QSeries({body}; order={self.order})"
 
-
-def from_coefficient_function(f, order: int) -> QSeries:
-    """Series with coefficient f(n) for n = 0..order."""
-    return QSeries([f(n) for n in range(order + 1)], order)

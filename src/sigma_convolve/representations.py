@@ -3,7 +3,8 @@ eight-variable form x1^2+x2^2+x3^2+x4^2 + 7(x5^2+x6^2+x7^2+x8^2).
 
 R7 is computed three independent ways: lattice enumeration (the oracle),
 the divisor-sum-plus-convolution formula, and the closed form in sigma_3
-and cusp coefficients. Their pointwise agreement is the package's
+and cusp coefficients (simplified and raw, both term data for the
+evaluator in ``convolution``). Their pointwise agreement is the package's
 strongest end-to-end check.
 """
 
@@ -14,8 +15,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import sigma, sigma_scaled
-from .convolution import w_formula, shared_cusp_table
-from .errors import NonIntegralResult
+from .convolution import evaluate, form_terms, sigma3_terms, w_formula
 from .eta import CuspTable, c_series
 
 
@@ -82,60 +82,35 @@ def r7_via_w(n: int, cusp: CuspTable | None = None) -> int:
     return total
 
 
-_R7_SIGMA3 = (
-    (1, Fraction(8, 25)), (2, Fraction(-16, 25)), (4, Fraction(128, 25)),
-    (7, Fraction(392, 25)), (14, Fraction(-784, 25)), (28, Fraction(6272, 25)),
+R7_CLOSED = (
+    *sigma3_terms({1: "8/25", 2: "-16/25", 4: "128/25",
+                   7: "392/25", 14: "-784/25", 28: "6272/25"}),
+    *form_terms({1: "-928/175", 2: "-768/25", 3: "32/5",
+                 4: "2272/175", 5: "2304/25", 6: "768/5",
+                 7: "-1152/25", 8: "24576/25", 9: "24576/25"}),
 )
 
-_R7_CUSP = (
-    (1, Fraction(-928, 175)), (2, Fraction(-768, 25)), (3, Fraction(32, 5)),
-    (4, Fraction(2272, 175)), (5, Fraction(2304, 25)), (6, Fraction(768, 5)),
-    (7, Fraction(-1152, 25)), (8, Fraction(24576, 25)), (9, Fraction(24576, 25)),
+# pre-simplification variant: the same sigma_3 terms, different cusp
+# coefficients, and a dilated (C_1 + 4 C_2)(q^4) tail that the final form
+# absorbs
+R7_CLOSED_RAW = (
+    *(t for t in R7_CLOSED if t.kind == "sigma3"),
+    *form_terms({1: "-6816/1225", 2: "-5696/175", 3: "32/7",
+                 4: "16224/1225", 5: "21248/175", 6: "768/5",
+                 7: "-10624/175", 8: "166912/175", 9: "166912/175"}),
+    *form_terms({"4,7": "-512/35"}, d=4),
 )
-
-# pre-simplification variant: different cusp coefficients plus a shifted
-# c_1(n/4) + 4 c_2(n/4) tail that the final form absorbs
-_R7_RAW_CUSP = (
-    (1, Fraction(-6816, 1225)), (2, Fraction(-5696, 175)), (3, Fraction(32, 7)),
-    (4, Fraction(16224, 1225)), (5, Fraction(21248, 175)), (6, Fraction(768, 5)),
-    (7, Fraction(-10624, 175)), (8, Fraction(166912, 175)), (9, Fraction(166912, 175)),
-)
-_R7_RAW_TAIL = Fraction(-512, 35)
-
-
-def _as_integer(total: Fraction, label: str) -> int:
-    if total.denominator != 1:
-        raise NonIntegralResult(f"{label} evaluated to {total}")
-    return total.numerator
 
 
 def r7_closed(n: int, cusp: CuspTable | None = None) -> int:
     """R7 by the closed form: six sigma_3 terms plus nine cusp terms."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    table = cusp if cusp is not None else shared_cusp_table(n)
-    total = Fraction(0)
-    for d, coef in _R7_SIGMA3:
-        total += coef * sigma_scaled(3, n, d)
-    for j, coef in _R7_CUSP:
-        total += coef * table.c(j, n)
-    return _as_integer(total, f"R7({n})")
+    return evaluate(R7_CLOSED, n, cusp, "R7")
 
 
 def r7_closed_raw(n: int, cusp: CuspTable | None = None) -> int:
     """R7 by the unsimplified closed form, whose cusp tail still references
     the dilated coefficients c_1(n/4) and c_2(n/4)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    table = cusp if cusp is not None else shared_cusp_table(n)
-    total = Fraction(0)
-    for d, coef in _R7_SIGMA3:
-        total += coef * sigma_scaled(3, n, d)
-    for j, coef in _R7_RAW_CUSP:
-        total += coef * table.c(j, n)
-    if n % 4 == 0:
-        total += _R7_RAW_TAIL * (table.c(1, n // 4) + 4 * table.c(2, n // 4))
-    return _as_integer(total, f"R7_raw({n})")
+    return evaluate(R7_CLOSED_RAW, n, cusp, "R7_raw")
 
 
 # C_1(q^4) + 4 C_2(q^4) re-expressed in the undilated generators

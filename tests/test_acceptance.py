@@ -18,14 +18,13 @@ from sigma_convolve.convolution import (
     w_formula,
 )
 from sigma_convolve.deltaforms import (
-    TauTables,
     cube_bracket,
     delta_4_7_cuberoot,
     delta_4_7_eta,
     w_1_14_royer,
 )
 from sigma_convolve.eisenstein import l_combination, l_series
-from sigma_convolve.eta import CUSP_GENERATORS, c_series, cusp_spec, ligozat_check
+from sigma_convolve.eta import CUSP_GENERATORS, CuspTable, c_series, cusp_spec, ligozat_check
 from sigma_convolve.modforms import (
     KNOWN_DECOMPOSITIONS,
     Basis28,
@@ -138,11 +137,11 @@ def test_criterion_06_cube_root_identity():
 
 
 def test_criterion_07_royer_cross_check():
-    taus = TauTables.at_order(500)
-    ok = all(w_1_14_royer(n, taus) == w_brute(1, 14, n) for n in range(1, 501))
+    table = CuspTable(500)
+    ok = all(w_1_14_royer(n, table) == w_brute(1, 14, n) for n in range(1, 501))
     _report(
         7,
-        "tau-based W_{1,14} formula equals brute force for 1 <= n <= 500, "
+        "level-14 W_{1,14} formula equals brute force for 1 <= n <= 500, "
         "validating the -C3+C4 and -4C2+C3+C4 cusp identifications",
         ok,
     )

@@ -7,7 +7,6 @@ from sigma_convolve.arith import sigma, sigma_scaled
 from sigma_convolve.convolution import (
     CLOSED_FORM_PAIRS,
     FORMULAS,
-    ConvolutionFormula,
     shared_cusp_table,
     w_brute,
     w_formula,
@@ -88,18 +87,15 @@ def test_derivation_replay_1_28():
 
 def test_formula_tables_shape():
     assert set(FORMULAS) == {(1, 28), (4, 7), (1, 14), (2, 7), (1, 7)}
-    for pair, formula in FORMULAS.items():
-        assert all(coef != 0 for _, coef in formula.sigma3), pair
-        assert len(formula.sigma1) == 2, pair
+    for pair, terms in FORMULAS.items():
+        assert all(t.const != 0 for t in terms if t.kind == "sigma3"), pair
+        assert sum(t.kind == "sigma1" for t in terms) == 2, pair
 
 
 def test_non_integral_result_on_corrupted_table(cusp1000, monkeypatch):
     good = FORMULAS[(1, 7)]
-    bad = ConvolutionFormula(
-        sigma3=((1, Fraction(1, 121)),) + good.sigma3[1:],
-        sigma1=good.sigma1,
-        cusp=good.cusp,
-    )
+    assert good[0].kind == "sigma3" and good[0].d == 1
+    bad = (good[0]._replace(const=Fraction(1, 121)),) + good[1:]
     monkeypatch.setitem(FORMULAS, (1, 7), bad)
     with pytest.raises(NonIntegralResult):
         for n in range(1, 50):

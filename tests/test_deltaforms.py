@@ -1,18 +1,21 @@
 import pytest
 
-from sigma_convolve.convolution import w_brute, w_formula
+import sigma_convolve.convolution as convolution
+from sigma_convolve.convolution import DELTA_FORMS, evaluate, w_brute, w_formula
 from sigma_convolve.deltaforms import (
     CUBE_BRACKET_LEVEL,
     CUBE_BRACKET_TERMS,
-    TauTables,
+    ROYER_1_14,
     cube_bracket,
     delta_4_7_cuberoot,
     delta_4_7_eta,
     delta_4_14,
+    delta_series,
     w_1_14_royer,
     w_1_7_lemire,
 )
-from sigma_convolve.eta import EtaQuotientSpec, c_series, ligozat_check
+from sigma_convolve.eta import CuspTable, EtaQuotientSpec, c_series, ligozat_check
+from sigma_convolve.representations import R7_CLOSED_RAW, r7_closed_raw
 
 
 def test_cube_bracket_leading_term():
@@ -61,54 +64,64 @@ def test_delta_4_14_values():
         delta_4_14(3, 8)
 
 
-def test_tau_tables_zero_extension():
-    taus = TauTables.at_order(20)
-    assert taus.t47(0) == 0 and taus.t4141(-2) == 0
-    assert taus.t47(1) == 1
-    assert taus.t4141(1) == 1 and taus.t4142(1) == 1
+def test_dilated_terms_are_zero_extended():
+    table = CuspTable(80)
+    royer_undilated = tuple(t for t in ROYER_1_14 if t.d != 2 or t.kind != "form")
+    raw_undilated = tuple(t for t in R7_CLOSED_RAW if t.d != 4)
+    assert len(royer_undilated) < len(ROYER_1_14)
+    assert len(raw_undilated) < len(R7_CLOSED_RAW)
+    for n in range(1, 81, 2):
+        assert w_1_14_royer(n, table) == evaluate(royer_undilated, n, table, "W"), n
+    for n in range(1, 81):
+        if n % 4:
+            assert r7_closed_raw(n, table) == evaluate(raw_undilated, n, table, "R7"), n
+    for j in range(1, 10):
+        assert table.c(j, 0) == 0 and table.c(j, -2) == 0
+    for name in DELTA_FORMS:
+        series = delta_series(name, 20)
+        assert series.coefficient(0) == 0 and series.coefficient(1) == 1, name
 
 
 def test_royer_formula_examples():
-    taus = TauTables.at_order(40)
-    assert w_1_14_royer(15, taus) == 1
-    assert w_1_14_royer(1, taus) == 0
+    table = CuspTable(40)
+    assert w_1_14_royer(15, table) == 1
+    assert w_1_14_royer(1, table) == 0
     with pytest.raises(ValueError):
-        w_1_14_royer(0, taus)
+        w_1_14_royer(0, table)
 
 
 def test_royer_matches_brute_force():
-    taus = TauTables.at_order(200)
+    table = CuspTable(200)
     for n in range(1, 201):
-        assert w_1_14_royer(n, taus) == w_brute(1, 14, n), n
+        assert w_1_14_royer(n, table) == w_brute(1, 14, n), n
 
 
 def test_lemire_formula_examples():
-    u = delta_4_7_cuberoot(40)
-    assert w_1_7_lemire(8, u) == 1
-    assert w_1_7_lemire(1, u) == 0
+    table = CuspTable(40)
+    assert w_1_7_lemire(8, table) == 1
+    assert w_1_7_lemire(1, table) == 0
     with pytest.raises(ValueError):
-        w_1_7_lemire(0, u)
+        w_1_7_lemire(0, table)
 
 
 def test_lemire_matches_brute_and_closed_form(cusp1000):
-    u = delta_4_7_cuberoot(300)
+    assert delta_4_7_cuberoot(300) == delta_4_7_eta(300)
     for n in range(1, 301):
-        value = w_1_7_lemire(n, u)
+        value = w_1_7_lemire(n, cusp1000)
         assert value == w_brute(1, 7, n), n
         assert value == w_formula((1, 7), n, cusp1000), n
 
 
-def test_shared_caches_grow():
-    import sigma_convolve.deltaforms as deltaforms
-
-    deltaforms._tau_tables = None
-    deltaforms._u_series = None
-    try:
-        assert w_1_14_royer(15) == 1
-        assert w_1_7_lemire(8) == 1
-        first = deltaforms._tau_tables
-        w_1_14_royer(first.order + 10)
-        assert deltaforms._tau_tables.order > first.order
-    finally:
-        deltaforms._tau_tables = None
-        deltaforms._u_series = None
+def test_royer_and_lemire_default_to_shared_cusp_table(monkeypatch):
+    monkeypatch.setattr(convolution, "_shared_table", None)
+    assert w_1_14_royer(15) == 1
+    first = convolution._shared_table
+    assert first is not None and first.order >= 15
+    assert w_1_7_lemire(8) == 1
+    assert convolution._shared_table is first
+    n = first.order + 10
+    assert w_1_7_lemire(n) == w_brute(1, 7, n)
+    grown = convolution._shared_table
+    assert grown.order >= n
+    assert w_1_14_royer(grown.order + 1) == w_brute(1, 14, grown.order + 1)
+    assert convolution._shared_table.order > grown.order

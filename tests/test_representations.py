@@ -90,9 +90,10 @@ def test_r7_closed_raw_rejects_corrupt_table(cusp1000, monkeypatch):
     import sigma_convolve.representations as reps
     from fractions import Fraction
 
-    monkeypatch.setattr(
-        reps, "_R7_SIGMA3", ((1, Fraction(1, 23)),) + reps._R7_SIGMA3[1:]
-    )
-    with pytest.raises(NonIntegralResult):
-        for n in range(1, 30):
-            r7_closed(n, cusp1000)
+    for name, fn in (("R7_CLOSED", r7_closed), ("R7_CLOSED_RAW", r7_closed_raw)):
+        good = getattr(reps, name)
+        assert good[0].kind == "sigma3" and good[0].d == 1
+        monkeypatch.setattr(reps, name, (good[0]._replace(const=Fraction(1, 23)),) + good[1:])
+        with pytest.raises(NonIntegralResult):
+            for n in range(1, 30):
+                fn(n, cusp1000)
