@@ -1,9 +1,11 @@
 """Golden digests of the command-line output.
 
 Each entry pins the sha256 of ``cli.main`` stdout for one invocation. The
-digests were captured before the closed forms moved onto the shared term
-evaluator, so any change to a single printed byte of a table, decomposition
-or verify report fails here. They are an equality contract: when output
+digests of the closed-form tables were captured before the closed forms
+moved onto the shared term evaluator, and those of the brute-force oracle
+tables (``--mode brute``, ``--mode enumerate``) before the oracles moved
+onto sigma tables, so any change to a single printed byte of a table,
+decomposition or verify report fails here. They are an equality contract: when output
 changes on purpose, re-capture them and say why in the change log.
 """
 
@@ -46,6 +48,15 @@ GOLDEN: list[tuple[tuple[str, ...], str]] = [
      "dd87e1d12b7fe35c67c76bbcf806587b0d9a9bd1a6353b6649e863f3b1034241"),
     (("verify", "--order", "150", "--report", "json"),
      "ee7fc5ce5b17f2179eebc32d4007a8463ef2f75ce56c69d5028edd83b0c3bba3"),
+    # the brute-force oracles alone: no closed form is evaluated
+    (("wab", "--a", "3", "--b", "8", "--n-max", "1500", "--mode", "brute"),
+     "157871c48b426708d31cb391983852a6627861acf1a32489de767740f348180f"),
+    (("wab", "--a", "6", "--b", "4", "--n-max", "600", "--mode", "brute"),
+     "9fe05cacf65651a601af6b304f4143520b5b3009c1cb61ddf54fe76e0b0de787"),
+    (("wab", "--a", "5", "--b", "5", "--n-max", "300", "--mode", "brute"),
+     "ac58a1f61a58f05ec1bf616fd0087eb8d26ad77ce5dba6366115ff41f7b5e2e3"),
+    (("r7", "--n-max", "600", "--mode", "enumerate"),
+     "eee355850c82664e3bd51da511022d3283f563c907be1460717738dbf1916ac6"),
 ]
 
 
