@@ -4,13 +4,20 @@ Rationals are ``fractions.Fraction`` (arbitrary precision, always canonical).
 Values that happen to be integers are normalized back to ``int`` so that
 integer-only computations stay on the fast native path; ``int`` and
 ``Fraction`` mix freely and compare equal when they should.
+
+Divisor sums come from one module-wide table per power k, sigma_k(0..m),
+built by a divisor-accumulation sieve and regrown by doubling
+(``sigma_table``). Code that reads many values takes the table; scalar
+``sigma`` reads it when it already covers n and falls back to trial
+division otherwise, so a single large argument never builds a table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import repeat
 from math import isqrt
+from operator import add
 
 
 def normalize(value: int | Fraction) -> int | Fraction:
@@ -62,17 +69,54 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
+def is_int(value: object) -> bool:
+    """True for an int that is not a bool (bool subclasses int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_sigma_args(name: str, k: object, n: object) -> None:
+    if not is_int(k) or k < 1:
+        raise ValueError(f"{name} requires an integer k >= 1, got {k!r}")
+    if not is_int(n):
+        raise ValueError(f"{name} requires an integer n, got {n!r}")
+
+
+# k -> (sigma_k(0), ..., sigma_k(m)), sigma_k(0) = 0
+_sigma_tables: dict[int, tuple[int, ...]] = {}
+
+
+def sigma_table(k: int, n: int) -> tuple[int, ...]:
+    """The shared table sigma_k(0..m) for some m >= n, with sigma_k(0) = 0.
+
+    When n is past its end the table is rebuilt by a divisor-accumulation
+    sieve to m = max(n, twice its old m, 64). The tuple is never mutated,
+    so callers may keep and slice it.
+    """
+    _check_sigma_args("sigma_table", k, n)
+    table = _sigma_tables.get(k, ())
+    if n >= len(table):
+        top = max(n, 2 * (len(table) - 1), 64)
+        sieve = [0] * (top + 1)
+        for d in range(1, top + 1):
+            sieve[d::d] = map(add, sieve[d::d], repeat(d**k))
+        table = _sigma_tables[k] = tuple(sieve)
+    return table
+
+
 def sigma(k: int, n: int) -> int:
     """Sum of k-th powers of the positive divisors of n; 0 for n <= 0.
 
     The zero extension off the positive integers is applied uniformly so
     formula evaluators never need to branch on divisibility themselves.
+    Reads the shared table when it covers n, else uses trial division; it
+    never grows the table.
     """
-    if k < 1:
-        raise ValueError(f"sigma requires k >= 1, got {k}")
+    _check_sigma_args("sigma", k, n)
     if n <= 0:
         return 0
+    table = _sigma_tables.get(k, ())
+    if n < len(table):
+        return table[n]
     total = 0
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:

@@ -2,6 +2,10 @@
 (l, m) with a*l + b*m = n: brute-force oracle, gcd reduction, and the one
 evaluator behind every closed form in the package.
 
+The oracle is the defining sum itself, taken term by term over the shared
+sigma table of ``arith``; it shares no code with the closed forms beyond
+that table, which the tests check against trial division.
+
 Each closed form (the five W_{a,b} formulas here, the level-7 and level-14
 formulas in ``deltaforms``, and both R_7 forms in ``representations``) is a
 tuple of ``Term``s: a rational combination of sigma_3(n/d),
@@ -16,9 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
-from .arith import sigma
+from .arith import sigma_table
 from .errors import NonIntegralResult
 from .eta import CuspTable
 
@@ -124,6 +129,7 @@ def evaluate(terms: tuple[Term, ...], n: int, cusp: CuspTable | None, label: str
     if n < 1:
         raise ValueError(f"{label} needs n >= 1, got {n}")
     table = cusp if cusp is not None else shared_cusp_table(n)
+    s1, s3 = sigma_table(1, n), sigma_table(3, n)
     total = Fraction(0)
     for kind, form, d, const, slope in terms:
         if n % d:
@@ -131,9 +137,9 @@ def evaluate(terms: tuple[Term, ...], n: int, cusp: CuspTable | None, label: str
         if kind == "form":
             total += const * table.c(form, n // d)
         elif kind == "sigma3":
-            total += const * sigma(3, n // d)
+            total += const * s3[n // d]
         else:
-            total += (const + slope * n) * sigma(1, n // d)
+            total += (const + slope * n) * s1[n // d]
     if total.denominator != 1:
         raise NonIntegralResult(f"{label}({n}) evaluated to {total}")
     return total.numerator
@@ -141,15 +147,28 @@ def evaluate(terms: tuple[Term, ...], n: int, cusp: CuspTable | None, label: str
 
 def w_brute(a: int, b: int, n: int) -> int:
     """Direct evaluation of the convolution sum; the oracle everything else
-    is judged against."""
+    is judged against.
+
+    Every pair (l, m) with a*l + b*m = n is summed. With g = gcd(a, b)
+    they exist only when g | n; then m runs through one residue class
+    mod a/g while l falls by b/g, so the sum is one dot product of two
+    strided slices of the sigma table.
+    """
     if a < 1 or b < 1 or n < 1:
         raise ValueError(f"w_brute needs a, b, n >= 1, got {a}, {b}, {n}")
-    total = 0
-    for m in range(1, (n - a) // b + 1):
-        rest = n - b * m
-        if rest % a == 0:
-            total += sigma(1, rest // a) * sigma(1, m)
-    return total
+    g = gcd(a, b)
+    if n % g:
+        return 0
+    step_m, step_l = a // g, b // g
+    # smallest m >= 1 with b*m = n (mod a)
+    m0 = (n // g) * pow(step_l, -1, step_m) % step_m or step_m
+    m_max = (n - a) // b
+    if m0 > m_max:
+        return 0
+    l0 = (n - b * m0) // a
+    s = sigma_table(1, max(l0, m_max))
+    # the l slice runs on to l <= 0 (at most s[0] = 0); map stops with the m slice
+    return sum(map(mul, s[m0 : m_max + 1 : step_m], s[l0::-step_l]))
 
 
 def w_formula(pair: Pair, n: int, cusp: CuspTable | None = None) -> int:

@@ -5,18 +5,18 @@ L(q) = 1 - 24 sum sigma(n) q^n and M(q) = 1 + 240 sum sigma_3(n) q^n.
 
 from __future__ import annotations
 
-from .arith import sigma
+from .arith import sigma_table
 from .qseries import QSeries
 
 
 def l_series(order: int) -> QSeries:
     """1 - 24 sum_{n>=1} sigma(n) q^n."""
-    return QSeries([1] + [-24 * sigma(1, n) for n in range(1, order + 1)], order)
+    return QSeries([1] + [-24 * s for s in sigma_table(1, order)[1 : order + 1]], order)
 
 
 def m_series(order: int) -> QSeries:
     """1 + 240 sum_{n>=1} sigma_3(n) q^n."""
-    return QSeries([1] + [240 * sigma(3, n) for n in range(1, order + 1)], order)
+    return QSeries([1] + [240 * s for s in sigma_table(3, order)[1 : order + 1]], order)
 
 
 def l_combination(a: int, b: int, order: int) -> QSeries:

@@ -17,7 +17,7 @@ from math import gcd, isqrt
 from types import MappingProxyType
 from typing import Mapping
 
-from .arith import divisors, normalize, prime_factors
+from .arith import divisors, is_int, normalize, prime_factors
 from .errors import FractionalExponent, NegativeValuation, OutOfRange
 from .qseries import QSeries
 
@@ -31,11 +31,11 @@ class EtaQuotientSpec:
     exponents: Mapping[int, int]
 
     def __init__(self, level: int, exponents: Mapping[int, int]):
-        if level < 1:
-            raise ValueError(f"level must be >= 1, got {level}")
+        if not is_int(level) or level < 1:
+            raise ValueError(f"level must be an integer >= 1, got {level!r}")
         cleaned: dict[int, int] = {}
         for delta, r in sorted(exponents.items()):
-            if not isinstance(delta, int) or not isinstance(r, int):
+            if not is_int(delta) or not is_int(r):
                 raise ValueError(f"exponent entries must be integers, got {delta!r}: {r!r}")
             if delta < 1 or level % delta != 0:
                 raise ValueError(f"{delta} is not a positive divisor of level {level}")

@@ -1,7 +1,8 @@
 """Representation counts: r4(n) for four squares and R7(n) for the
 eight-variable form x1^2+x2^2+x3^2+x4^2 + 7(x5^2+x6^2+x7^2+x8^2).
 
-R7 is computed three independent ways: lattice enumeration (the oracle),
+R7 is computed three independent ways: lattice enumeration (the oracle,
+which counts four-square representations through two-square counts),
 the divisor-sum-plus-convolution formula, and the closed form in sigma_3
 and cusp coefficients (simplified and raw, both term data for the
 evaluator in ``convolution``). Their pointwise agreement is the package's
@@ -13,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 from .arith import sigma, sigma_scaled
 from .convolution import evaluate, form_terms, sigma3_terms, w_formula
@@ -31,29 +33,22 @@ def r4_jacobi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def r4_enumerate(n: int) -> int:
-    """Four-squares count by direct lattice enumeration.
+    """Four-squares count by lattice enumeration.
 
-    Walks the nonnegative octant with weight 2 per nonzero coordinate; the
-    fourth coordinate is resolved by a perfect-square test.
+    Enumerates the lattice points of the disc x^2 + y^2 <= n, walking the
+    nonnegative quadrant with weight 2 per nonzero coordinate, into the
+    two-square counts r2(k) for k <= n. A point of Z^4 on the sphere of
+    norm n splits into two planar points of norms k and n - k, so
+    r4(n) = sum over k of r2(k) * r2(n - k).
     """
     if n < 0:
         return 0
-    total = 0
-    ra = isqrt(n)
-    for a in range(ra + 1):
-        wa = 2 if a else 1
-        na = n - a * a
-        rb = isqrt(na)
-        for b in range(rb + 1):
-            wb = wa * (2 if b else 1)
-            nb = na - b * b
-            rc = isqrt(nb)
-            for c in range(rc + 1):
-                rem = nb - c * c
-                d = isqrt(rem)
-                if d * d == rem:
-                    total += wb * (2 if c else 1) * (2 if d else 1)
-    return total
+    r2 = [0] * (n + 1)
+    for x in range(isqrt(n) + 1):
+        wx, x2 = (2 if x else 1), x * x
+        for y in range(isqrt(n - x2) + 1):
+            r2[x2 + y * y] += wx * (2 if y else 1)
+    return sum(map(mul, r2, reversed(r2)))
 
 
 def r7_enumerate(n: int) -> int:

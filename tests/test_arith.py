@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import sigma_convolve.arith as arith
 from sigma_convolve.arith import (
     divisors,
     exact_div,
@@ -11,7 +12,14 @@ from sigma_convolve.arith import (
     prime_factors,
     sigma,
     sigma_scaled,
+    sigma_table,
 )
+
+
+@pytest.fixture
+def no_sigma_tables(monkeypatch):
+    """Start from empty shared sigma tables, so scalar sigma is trial division."""
+    monkeypatch.setattr(arith, "_sigma_tables", {})
 
 
 def naive_sigma(k: int, n: int) -> int:
@@ -32,6 +40,18 @@ def test_sigma_rejects_bad_power():
         sigma(0, 5)
 
 
+def test_sigma_rejects_bool():
+    for k, n in ((1, True), (True, 5)):
+        with pytest.raises(ValueError):
+            sigma(k, n)
+
+
+def test_sigma_table_rejects_bool():
+    for k, n in ((1, True), (True, 5), (0, 5)):
+        with pytest.raises(ValueError):
+            sigma_table(k, n)
+
+
 def test_sigma_scaled_examples():
     assert sigma_scaled(3, 28, 28) == 1
     assert sigma_scaled(1, 29, 28) == 0
@@ -47,8 +67,9 @@ def test_sigma_against_naive_oracle_small():
         assert sigma(3, n) == naive_sigma(3, n)
 
 
-def test_sigma_against_sieve_oracle_to_ten_thousand():
-    # divisor-accumulation sieve, independent of the trial-division path
+def test_sigma_against_sieve_oracle_to_ten_thousand(no_sigma_tables):
+    # with no shared table, scalar sigma is trial division; this sieve is
+    # written out here, independent of the library's sieve
     limit = 10_000
     s1 = [0] * (limit + 1)
     s3 = [0] * (limit + 1)
@@ -60,6 +81,39 @@ def test_sigma_against_sieve_oracle_to_ten_thousand():
     for n in range(1, limit + 1):
         assert sigma(1, n) == s1[n]
         assert sigma(3, n) == s3[n]
+
+
+def test_sigma_table_against_trial_division_to_ten_thousand(no_sigma_tables):
+    limit = 10_000
+    trial = {k: [sigma(k, n) for n in range(limit + 1)] for k in (1, 3)}
+    assert arith._sigma_tables == {}  # scalar sigma never builds a table
+    for k in (1, 3):
+        table = sigma_table(k, limit)
+        assert list(table[: limit + 1]) == trial[k]
+
+
+def test_sigma_table_grows_by_doubling_and_keeps_entries(no_sigma_tables):
+    t64 = sigma_table(1, 64)
+    assert len(t64) == 65 and t64[0] == 0 and t64[64] == 127
+    t65 = sigma_table(1, 65)
+    assert len(t65) == 129  # doubled past 65
+    t1000 = sigma_table(1, 1000)
+    assert len(t1000) == 1001  # a request beyond the double is met exactly
+    assert t65[:65] == t64 and t1000[:129] == t65
+    assert sigma_table(1, 500) is t1000  # covered: no rebuild
+    assert isinstance(t1000, tuple)  # shared, so read-only
+
+
+def test_scalar_sigma_beyond_table_leaves_it_alone(no_sigma_tables):
+    table = sigma_table(3, 100)
+    size = len(table)
+    assert sigma(3, 10 * size) == naive_sigma(3, 10 * size)
+    # 10^12 = 2^12 5^12: trial division, no table of 10^12 entries
+    assert sigma(1, 10**12) == (2**13 - 1) * (5**13 - 1) // 4
+    assert len(arith._sigma_tables[3]) == size and 1 not in arith._sigma_tables
+    # both sides of the table's end
+    assert [sigma(3, n) for n in range(size + 2)] == [naive_sigma(3, n) for n in range(size + 2)]
+    assert sigma(3, 0) == 0 and sigma(3, -5) == 0  # never read from the end
 
 
 def test_sigma_multiplicative_on_coprime_pairs():

@@ -1,11 +1,17 @@
 """End-to-end command-line tests.
 
-Every test drives cli.main() in process with an argv list and inspects
-the exit code plus captured stdout/stderr, so the suite exercises the
-same path as the installed console script without spawning processes.
+Every test but one drives cli.main() in process with an argv list and
+inspects the exit code plus captured stdout/stderr, so the suite exercises
+the same path as the installed console script without spawning processes.
+The exception runs ``python -m sigma_convolve.cli`` as a subprocess to
+cover the module entry point itself.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -399,6 +405,22 @@ def test_decompose_rejects_bad_input(capsys):
 
 
 # -- parser shell -------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("wab", "--a", "3", "--b", "8", "--n-max", "200", "--mode", "brute"),
+    ("r7", "--n-max", "100", "--mode", "enumerate"),
+])
+def test_module_entry_point_matches_main(capsys, argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop(ORDER_ENV_VAR, None)
+    proc = subprocess.run([sys.executable, "-m", "sigma_convolve.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert proc.stdout == out.encode()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -15,6 +15,23 @@ from sigma_convolve.convolution import (
 from sigma_convolve.eisenstein import l_combination
 from sigma_convolve.errors import NonIntegralResult
 
+REFERENCE_N = 200
+# sigma(0..REFERENCE_N) by summing divisors one by one, shared with nothing
+REFERENCE_SIGMA = [0] + [
+    sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, REFERENCE_N + 1)
+]
+
+
+def w_brute_per_m(a: int, b: int, n: int) -> int:
+    """The earlier w_brute, kept as a differential reference: every m with
+    b*m < n, keeping those where a divides n - b*m."""
+    total = 0
+    for m in range(1, (n - a) // b + 1):
+        rest = n - b * m
+        if rest % a == 0:
+            total += REFERENCE_SIGMA[rest // a] * REFERENCE_SIGMA[m]
+    return total
+
 
 def test_w_brute_examples():
     assert w_brute(1, 7, 8) == 1
@@ -22,8 +39,20 @@ def test_w_brute_examples():
     assert w_brute(1, 28, 29) == 1
     assert w_brute(1, 1, 2) == 1
     assert w_brute(1, 1, 3) == 6  # (l,m) = (1,2) and (2,1), each sigma(1)*sigma(2) = 3
+    assert w_brute(10, 1, 9) == 0  # a > n
+    assert w_brute(1, 10, 9) == 0  # b > n
+    assert w_brute(5, 5, 10) == 1  # l = m = 1 exactly
+    assert w_brute(6, 4, 21) == 0  # gcd 2 does not divide 21
+    assert w_brute(6, 10, 2 * 23) == w_brute(3, 5, 23)
     with pytest.raises(ValueError):
         w_brute(0, 1, 5)
+
+
+def test_w_brute_matches_per_m_reference():
+    for a in range(1, 13):
+        for b in range(1, 13):
+            for n in range(1, REFERENCE_N + 1):
+                assert w_brute(a, b, n) == w_brute_per_m(a, b, n), (a, b, n)
 
 
 def test_w_brute_symmetric():

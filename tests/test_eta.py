@@ -36,6 +36,12 @@ def test_spec_validation():
     assert dict(spec.exponents) == {1: 5, 7: 5, 14: -10}
 
 
+def test_spec_rejects_bool():
+    for level, exponents in ((28, {1: True}), (28, {True: 4}), (True, {1: 24})):
+        with pytest.raises(ValueError):
+            EtaQuotientSpec(level, exponents)
+
+
 def test_spec_from_string():
     spec = EtaQuotientSpec.from_string(28, "1:5,2:-1,7:5,14:-1")
     assert spec == cusp_spec(1)

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from sigma_convolve.convolution import w_formula
@@ -13,6 +15,27 @@ from sigma_convolve.representations import (
 )
 
 
+def r4_octant_walk(n: int) -> int:
+    """The earlier r4_enumerate, kept as a differential reference: walk the
+    nonnegative octant with weight 2 per nonzero coordinate and resolve the
+    fourth coordinate by a perfect-square test."""
+    if n < 0:
+        return 0
+    total = 0
+    for a in range(isqrt(n) + 1):
+        wa = 2 if a else 1
+        na = n - a * a
+        for b in range(isqrt(na) + 1):
+            wb = wa * (2 if b else 1)
+            nb = na - b * b
+            for c in range(isqrt(nb) + 1):
+                rem = nb - c * c
+                d = isqrt(rem)
+                if d * d == rem:
+                    total += wb * (2 if c else 1) * (2 if d else 1)
+    return total
+
+
 def test_r4_examples():
     assert r4_jacobi(0) == 1
     assert r4_jacobi(1) == 8
@@ -22,6 +45,11 @@ def test_r4_examples():
     assert r4_enumerate(1) == 8
     assert r4_enumerate(7) == 64
     assert r4_enumerate(-3) == 0
+
+
+def test_r4_enumerate_matches_octant_walk():
+    for n in range(-3, 301):
+        assert r4_enumerate(n) == r4_octant_walk(n), n
 
 
 def test_r4_jacobi_matches_enumeration():
