@@ -39,12 +39,10 @@ from .errors import (
 from .eta import (
     CUSP_GENERATORS,
     CuspTable,
-    EtaExpansion,
     EtaQuotientSpec,
     LigozatReport,
     c_series,
     cusp_spec,
-    eta_factor,
     expand,
     ligozat_check,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "CuspTable",
     "DELTA_FORMS",
     "DILATIONS",
-    "EtaExpansion",
     "EtaQuotientSpec",
     "FORMULAS",
     "FractionalExponent",
@@ -104,7 +101,6 @@ __all__ = [
     "delta_4_7_eta",
     "delta_series",
     "divisors",
-    "eta_factor",
     "evaluate",
     "exact_div",
     "expand",

@@ -117,14 +117,7 @@ def sigma(k: int, n: int) -> int:
     table = _sigma_tables.get(k, ())
     if n < len(table):
         return table[n]
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d**k
-            e = n // d
-            if e != d:
-                total += e**k
-    return total
+    return sum(d**k for d in divisors(n))
 
 
 def sigma_scaled(k: int, n: int, d: int) -> int:

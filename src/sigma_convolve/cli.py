@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from . import convolution, deltaforms, representations
 from .errors import FractionalExponent, NegativeValuation
 from .eisenstein import l_combination
-from .eta import CuspTable, EtaQuotientSpec, expand, ligozat_check
+from .eta import EtaQuotientSpec, expand, ligozat_check
 from .modforms import (
     KNOWN_DECOMPOSITIONS,
     Basis28,
@@ -115,16 +115,17 @@ def cmd_wab(args: argparse.Namespace) -> int:
         )
         return EXIT_DOMAIN
 
-    table = None
     if args.mode in ("formula", "both"):
-        table = CuspTable(max(1, n_max // g))
+        # size the shared cusp table once: grown row by row, it would
+        # re-expand all nine generators at every doubling
+        convolution.shared_cusp_table(max(1, n_max // g))
 
     rows: list[list[object]] = []
     mismatch = False
     for n in range(1, n_max + 1):
         row: list[object] = [n]
         if args.mode in ("formula", "both"):
-            row.append(convolution.w_reduce(a, b, n, table))
+            row.append(convolution.w_reduce(a, b, n))
         if args.mode in ("brute", "both"):
             row.append(convolution.w_brute(a, b, n))
         if args.mode == "both":
@@ -169,22 +170,12 @@ def _check_cube(order: int) -> tuple[bool, int]:
     root = bracket.cube_root(3)
     return (root ** 3).equal_up_to(bracket.truncate(eff), eff), eff
 
-def _check_royer(order: int) -> tuple[bool, int]:
-    eff = max(order, 8)
-    table = CuspTable(eff)
-    ok = all(
-        deltaforms.w_1_14_royer(n, table) == convolution.w_brute(1, 14, n)
-        for n in range(1, eff + 1)
-    )
-    return ok, eff
-
-def _check_lemire(order: int) -> tuple[bool, int]:
-    eff = max(order, 3)
-    table = CuspTable(eff)
-    ok = all(
-        deltaforms.w_1_7_lemire(n, table) == convolution.w_brute(1, 7, n)
-        for n in range(1, eff + 1)
-    )
+def _check_vs_brute(
+    formula: Callable[[int], int], pair: tuple[int, int], floor: int, order: int
+) -> tuple[bool, int]:
+    eff = max(order, floor)
+    convolution.shared_cusp_table(eff)  # one build, as in cmd_wab
+    ok = all(formula(n) == convolution.w_brute(*pair, n) for n in range(1, eff + 1))
     return ok, eff
 
 
@@ -198,8 +189,10 @@ _IDENTITY_SUITE: list[tuple[str, int | None, Callable[[int], tuple[bool, int]]]]
     ("cusp shift (level 56)", sturm_bound(56), _check_shift),
     ("cube root vs eta combination", sturm_bound(7), _check_root_vs_eta),
     ("cube root consistency", None, _check_cube),
-    ("level-14 formula vs brute force", sturm_bound(14), _check_royer),
-    ("level-7 formula vs brute force", sturm_bound(7), _check_lemire),
+    ("level-14 formula vs brute force", sturm_bound(14),
+     lambda o: _check_vs_brute(deltaforms.w_1_14_royer, (1, 14), 8, o)),
+    ("level-7 formula vs brute force", sturm_bound(7),
+     lambda o: _check_vs_brute(deltaforms.w_1_7_lemire, (1, 7), 3, o)),
 ]
 
 
@@ -277,11 +270,12 @@ def cmd_eta(args: argparse.Namespace) -> int:
 def cmd_r7(args: argparse.Namespace) -> int:
     n_max = _require_positive(args.n_max, "--n-max")
     modes = ("closed", "via-w", "enumerate") if args.mode == "all" else (args.mode,)
-    table = CuspTable(n_max) if {"closed", "via-w"} & set(modes) else None
+    if {"closed", "via-w"} & set(modes):
+        convolution.shared_cusp_table(n_max)  # one build, as in cmd_wab
 
     evaluators = {
-        "closed": lambda n: representations.r7_closed(n, table),
-        "via-w": lambda n: representations.r7_via_w(n, table),
+        "closed": representations.r7_closed,
+        "via-w": representations.r7_via_w,
         "enumerate": representations.r7_enumerate,
     }
     rows: list[list[object]] = []

@@ -13,7 +13,9 @@ tuple of ``Term``s: a rational combination of sigma_3(n/d),
 unless d divides n. The coefficient tables are data, one literal per
 published coefficient, so they can be audited line by line. Terms on the
 lower-level forms of ``DELTA_FORMS`` are expanded into generator terms when
-the table is built.
+the table is built. ``evaluate`` reads every c_j from one module-wide cusp
+table, ``shared_cusp_table``, which grows by doubling as larger n arrive;
+a caller about to tabulate up to some n can size it once beforehand.
 """
 
 from __future__ import annotations
@@ -119,16 +121,16 @@ def shared_cusp_table(min_order: int) -> CuspTable:
     return _shared_table
 
 
-def evaluate(terms: tuple[Term, ...], n: int, cusp: CuspTable | None, label: str) -> int:
+def evaluate(terms: tuple[Term, ...], n: int, label: str) -> int:
     """A closed form at n, verbatim in exact rationals.
 
-    Form coefficients come from `cusp`, or from the shared table when it is
-    None. A non-integer total means a corrupted coefficient table and
-    raises NonIntegralResult.
+    Form coefficients come from the shared cusp table, grown to cover n
+    when needed. A non-integer total means a corrupted coefficient table
+    and raises NonIntegralResult.
     """
     if n < 1:
         raise ValueError(f"{label} needs n >= 1, got {n}")
-    table = cusp if cusp is not None else shared_cusp_table(n)
+    table = shared_cusp_table(n)
     s1, s3 = sigma_table(1, n), sigma_table(3, n)
     total = Fraction(0)
     for kind, form, d, const, slope in terms:
@@ -171,14 +173,14 @@ def w_brute(a: int, b: int, n: int) -> int:
     return sum(map(mul, s[m0 : m_max + 1 : step_m], s[l0::-step_l]))
 
 
-def w_formula(pair: Pair, n: int, cusp: CuspTable | None = None) -> int:
+def w_formula(pair: Pair, n: int) -> int:
     """Closed-form W for one of the five supported pairs."""
     if pair not in FORMULAS:
         raise ValueError(f"no closed form for pair {pair}")
-    return evaluate(FORMULAS[pair], n, cusp, f"W{pair}")
+    return evaluate(FORMULAS[pair], n, f"W{pair}")
 
 
-def w_reduce(a: int, b: int, n: int, cusp: CuspTable | None = None) -> int:
+def w_reduce(a: int, b: int, n: int) -> int:
     """W for any pair: divide out gcd(a, b) (zero unless it divides n),
     then use the closed form when the reduced pair has one, else brute force."""
     if a < 1 or b < 1 or n < 1:
@@ -190,5 +192,5 @@ def w_reduce(a: int, b: int, n: int, cusp: CuspTable | None = None) -> int:
     if a > b:
         a, b = b, a
     if (a, b) in FORMULAS:
-        return w_formula((a, b), n, cusp)
+        return w_formula((a, b), n)
     return w_brute(a, b, n)

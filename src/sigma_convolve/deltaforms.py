@@ -47,6 +47,8 @@ def delta_4_7_cuberoot(order: int) -> QSeries:
 
 def delta_series(form: str, order: int) -> QSeries:
     """The named form of DELTA_FORMS as its generator combination."""
+    if form not in DELTA_FORMS:
+        raise ValueError(f"unknown form {form!r}, expected one of {', '.join(DELTA_FORMS)}")
     acc = QSeries.zero(order)
     for j, coef in DELTA_FORMS[form].items():
         acc = acc + coef * c_series(j, order)
@@ -84,11 +86,11 @@ LEMIRE_1_7 = (
 )
 
 
-def w_1_14_royer(n: int, cusp: CuspTable | None = None) -> int:
+def w_1_14_royer(n: int) -> int:
     """W_{1,14}(n) by the published level-14 formula."""
-    return evaluate(ROYER_1_14, n, cusp, "W(1,14)")
+    return evaluate(ROYER_1_14, n, "W(1,14)")
 
 
-def w_1_7_lemire(n: int, cusp: CuspTable | None = None) -> int:
+def w_1_7_lemire(n: int) -> int:
     """W_{1,7}(n) by the published level-7 formula."""
-    return evaluate(LEMIRE_1_7, n, cusp, "W(1,7)")
+    return evaluate(LEMIRE_1_7, n, "W(1,7)")

@@ -4,9 +4,10 @@ level-28 cusp generators with their coefficient tables.
 An eta quotient is a finite product prod eta(delta*z)^{r_delta} over
 divisors delta of a level N, where eta is the weight-1/2 product
 q^(1/24) * prod (1 - q^n). The fractional power of q never enters the
-series ring: expansions carry the accumulated exponent in units of 1/24
-("offset24") next to an integer-exponent body series, and conversion to a
-plain series is gated on 24 dividing the offset.
+series ring: ``expand`` reads the accumulated exponent, in units of 1/24,
+from the spec ("offset24"), rejects it unless it is a nonnegative multiple
+of 24 before any series work, and shifts the product of the integer-exponent
+Euler products by offset24/24.
 """
 
 from __future__ import annotations
@@ -87,32 +88,6 @@ class EtaQuotientSpec:
 
 
 @dataclass(frozen=True)
-class EtaExpansion:
-    """q^(offset24/24) times an integer-exponent body series."""
-
-    offset24: int
-    body: QSeries
-
-    def __mul__(self, other: "EtaExpansion") -> "EtaExpansion":
-        return EtaExpansion(self.offset24 + other.offset24, self.body * other.body)
-
-    def as_series(self) -> QSeries:
-        """The plain q-series, defined only when the q-power is a whole number."""
-        if self.offset24 % 24 != 0:
-            raise FractionalExponent(
-                f"q-exponent {self.offset24}/24 is not an integer"
-            )
-        shift = self.offset24 // 24
-        if shift < 0:
-            raise NegativeValuation(f"leading q-power {shift} is negative")
-        order = self.body.order
-        out = [0] * (order + 1)
-        for i in range(order + 1 - shift):
-            out[i + shift] = self.body.coeffs[i]
-        return QSeries(out, order)
-
-
-@dataclass(frozen=True)
 class LigozatReport:
     """Outcome of the eta-quotient modularity criterion, condition by condition."""
 
@@ -148,25 +123,26 @@ def _euler_product(delta: int, order: int) -> QSeries:
     return QSeries(out, order)
 
 
-def eta_factor(delta: int, r: int, order: int) -> EtaExpansion:
-    """Expansion of eta(delta*z)^r: offset delta*r plus the product body."""
-    if delta < 1:
-        raise ValueError(f"delta must be >= 1, got {delta}")
-    base = _euler_product(delta, order)
-    body = base ** abs(r)
-    if r < 0:
-        body = body.inverse()
-    return EtaExpansion(delta * r, body)
-
-
 def expand(spec: EtaQuotientSpec, order: int) -> QSeries:
-    """Full q-expansion of an eta quotient as a plain series."""
-    acc: EtaExpansion | None = None
+    """Full q-expansion of an eta quotient as a plain series.
+
+    The q-power q^(offset24/24) must be whole and nonnegative; that is
+    checked before any series is built.
+    """
+    offset24 = spec.offset24()
+    if offset24 % 24 != 0:
+        raise FractionalExponent(f"q-exponent {offset24}/24 is not an integer")
+    shift = offset24 // 24
+    if shift < 0:
+        raise NegativeValuation(f"leading q-power {shift} is negative")
+    body: QSeries | None = None
     for delta, r in spec.exponents.items():
-        factor = eta_factor(delta, r, order)
-        acc = factor if acc is None else acc * factor
-    assert acc is not None
-    return acc.as_series()
+        factor = _euler_product(delta, order) ** abs(r)
+        if r < 0:
+            factor = factor.inverse()
+        body = factor if body is None else body * factor
+    assert body is not None
+    return QSeries([0] * min(shift, order + 1) + list(body.coeffs), order)
 
 
 def _is_rational_square(exps_by_prime: dict[int, int]) -> bool:

@@ -18,7 +18,7 @@ from operator import mul
 
 from .arith import sigma, sigma_scaled
 from .convolution import evaluate, form_terms, sigma3_terms, w_formula
-from .eta import CuspTable, c_series
+from .eta import c_series
 
 
 def r4_jacobi(n: int) -> int:
@@ -58,7 +58,7 @@ def r7_enumerate(n: int) -> int:
     return sum(r4_enumerate(n - 7 * m) * r4_enumerate(m) for m in range(n // 7 + 1))
 
 
-def r7_via_w(n: int, cusp: CuspTable | None = None) -> int:
+def r7_via_w(n: int) -> int:
     """R7 by the divisor-sum and convolution-sum formula:
     8 sigma(n) - 32 sigma(n/4) + 8 sigma(n/7) - 32 sigma(n/28)
     + 64 W_{1,7}(n) + 1024 W_{1,7}(n/4) - 256 (W_{4,7}(n) + W_{1,28}(n))."""
@@ -70,10 +70,10 @@ def r7_via_w(n: int, cusp: CuspTable | None = None) -> int:
         + 8 * sigma_scaled(1, n, 7)
         - 32 * sigma_scaled(1, n, 28)
     )
-    total += 64 * w_formula((1, 7), n, cusp)
+    total += 64 * w_formula((1, 7), n)
     if n % 4 == 0:
-        total += 1024 * w_formula((1, 7), n // 4, cusp)
-    total -= 256 * (w_formula((4, 7), n, cusp) + w_formula((1, 28), n, cusp))
+        total += 1024 * w_formula((1, 7), n // 4)
+    total -= 256 * (w_formula((4, 7), n) + w_formula((1, 28), n))
     return total
 
 
@@ -97,15 +97,15 @@ R7_CLOSED_RAW = (
 )
 
 
-def r7_closed(n: int, cusp: CuspTable | None = None) -> int:
+def r7_closed(n: int) -> int:
     """R7 by the closed form: six sigma_3 terms plus nine cusp terms."""
-    return evaluate(R7_CLOSED, n, cusp, "R7")
+    return evaluate(R7_CLOSED, n, "R7")
 
 
-def r7_closed_raw(n: int, cusp: CuspTable | None = None) -> int:
+def r7_closed_raw(n: int) -> int:
     """R7 by the unsimplified closed form, whose cusp tail still references
     the dilated coefficients c_1(n/4) and c_2(n/4)."""
-    return evaluate(R7_CLOSED_RAW, n, cusp, "R7_raw")
+    return evaluate(R7_CLOSED_RAW, n, "R7_raw")
 
 
 # C_1(q^4) + 4 C_2(q^4) re-expressed in the undilated generators

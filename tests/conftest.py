@@ -1,13 +1,6 @@
 import pytest
 
-from sigma_convolve.eta import CuspTable
 from sigma_convolve.modforms import Basis28
-
-
-@pytest.fixture(scope="session")
-def cusp1000() -> CuspTable:
-    """Cusp coefficient table shared by the convolution and count checks."""
-    return CuspTable(1000)
 
 
 @pytest.fixture(scope="session")

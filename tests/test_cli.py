@@ -11,11 +11,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from sigma_convolve import cli, modforms
+from sigma_convolve import cli, convolution, modforms
 from sigma_convolve.cli import (
     EXIT_DOMAIN,
     EXIT_IDENTITY,
@@ -26,6 +27,7 @@ from sigma_convolve.cli import (
     main,
 )
 from sigma_convolve.deltaforms import delta_4_7_eta
+from sigma_convolve.eta import CuspTable
 from sigma_convolve.modforms import KNOWN_DECOMPOSITIONS, CoeffVector
 
 
@@ -128,7 +130,7 @@ def test_wab_scaled_pair_uses_reduction(capsys):
 
 def test_wab_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli.convolution, "w_reduce", lambda a, b, n, table=None: 999
+        cli.convolution, "w_reduce", lambda a, b, n: 999
     )
     code, out, _ = run_cli(
         capsys, "wab", "--a", "1", "--b", "28", "--n-max", "2", "--mode", "both"
@@ -248,6 +250,19 @@ def test_eta_fractional_power_is_domain_error(capsys):
     assert "weight_k=1/2" in out
 
 
+def test_eta_bad_q_power_fails_before_expanding(capsys):
+    # the q-power is checked first, so a huge --terms costs nothing
+    start = time.monotonic()
+    code, out, err = run_cli(
+        capsys, "eta", "--level", "28", "--spec", "1:5", "--terms", "5000000"
+    )
+    assert time.monotonic() - start < 5
+    assert code == EXIT_DOMAIN
+    assert "cannot expand" in err
+    assert "weight_k=5/2" in out and "cond_i=false" in out
+    assert "coefficients=" not in out
+
+
 def test_eta_rejects_bad_divisor(capsys):
     code, _, err = run_cli(capsys, "eta", "--level", "28", "--spec", "3:1")
     assert code == EXIT_USAGE
@@ -268,6 +283,31 @@ def test_eta_rejects_negative_terms(capsys):
     )
     assert code == EXIT_USAGE
     assert "--terms" in err
+
+
+# -- shared cusp table -------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, order", [
+    (("wab", "--a", "2", "--b", "14", "--n-max", "300", "--mode", "formula"), 150),
+    (("r7", "--n-max", "200", "--mode", "all"), 200),
+    (("verify", "--order", "100"), 100),
+])
+def test_cli_builds_the_cusp_table_once(capsys, monkeypatch, argv, order):
+    # each command sizes the shared table before its row loop; grown row by
+    # row it would be rebuilt at every doubling
+    monkeypatch.setattr(convolution, "_shared_table", None)
+    built = []
+    init = CuspTable.__init__
+
+    def counting_init(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(CuspTable, "__init__", counting_init)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert built == [order]
 
 
 # -- r7 ---------------------------------------------------------------
@@ -309,7 +349,7 @@ def test_r7_json_rows(capsys):
 
 def test_r7_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli.representations, "r7_closed", lambda n, table=None: -1
+        cli.representations, "r7_closed", lambda n: -1
     )
     code, out, _ = run_cli(capsys, "r7", "--n-max", "2")
     assert code == EXIT_MISMATCH

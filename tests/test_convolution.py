@@ -61,37 +61,37 @@ def test_w_brute_symmetric():
             assert w_brute(a, b, n) == w_brute(b, a, n)
 
 
-def test_w_reduce_examples(cusp1000):
-    assert w_reduce(2, 56, 58, cusp1000) == 1
-    assert w_reduce(2, 56, 57, cusp1000) == 0
-    assert w_reduce(3, 21, 24, cusp1000) == 1
-    assert w_reduce(28, 1, 29, cusp1000) == w_brute(1, 28, 29)
+def test_w_reduce_examples():
+    assert w_reduce(2, 56, 58) == 1
+    assert w_reduce(2, 56, 57) == 0
+    assert w_reduce(3, 21, 24) == 1
+    assert w_reduce(28, 1, 29) == w_brute(1, 28, 29)
 
 
-def test_w_reduce_falls_back_to_brute(cusp1000):
+def test_w_reduce_falls_back_to_brute():
     for n in range(1, 60):
-        assert w_reduce(3, 5, n, cusp1000) == w_brute(3, 5, n)
-        assert w_reduce(6, 10, 2 * n, cusp1000) == w_brute(3, 5, n)
+        assert w_reduce(3, 5, n) == w_brute(3, 5, n)
+        assert w_reduce(6, 10, 2 * n) == w_brute(3, 5, n)
 
 
-def test_w_formula_examples(cusp1000):
-    assert w_formula((1, 7), 8, cusp1000) == 1
-    assert w_formula((1, 28), 29, cusp1000) == 1
-    assert w_formula((2, 7), 9, cusp1000) == 1
+def test_w_formula_examples():
+    assert w_formula((1, 7), 8) == 1
+    assert w_formula((1, 28), 29) == 1
+    assert w_formula((2, 7), 9) == 1
 
 
-def test_w_formula_matches_brute_to_300(cusp1000):
+def test_w_formula_matches_brute_to_300():
     for pair in CLOSED_FORM_PAIRS:
         a, b = pair
         for n in range(1, 301):
-            assert w_formula(pair, n, cusp1000) == w_brute(a, b, n), (pair, n)
+            assert w_formula(pair, n) == w_brute(a, b, n), (pair, n)
 
 
-def test_w_formula_input_validation(cusp1000):
+def test_w_formula_input_validation():
     with pytest.raises(ValueError):
-        w_formula((3, 5), 10, cusp1000)
+        w_formula((3, 5), 10)
     with pytest.raises(ValueError):
-        w_formula((1, 7), 0, cusp1000)
+        w_formula((1, 7), 0)
 
 
 def test_w11_classical_consequence():
@@ -121,14 +121,14 @@ def test_formula_tables_shape():
         assert sum(t.kind == "sigma1" for t in terms) == 2, pair
 
 
-def test_non_integral_result_on_corrupted_table(cusp1000, monkeypatch):
+def test_non_integral_result_on_corrupted_table(monkeypatch):
     good = FORMULAS[(1, 7)]
     assert good[0].kind == "sigma3" and good[0].d == 1
     bad = (good[0]._replace(const=Fraction(1, 121)),) + good[1:]
     monkeypatch.setitem(FORMULAS, (1, 7), bad)
     with pytest.raises(NonIntegralResult):
         for n in range(1, 50):
-            w_formula((1, 7), n, cusp1000)
+            w_formula((1, 7), n)
 
 
 def test_shared_cusp_table_grows(monkeypatch):

@@ -64,6 +64,11 @@ def test_delta_4_14_values():
         delta_4_14(3, 8)
 
 
+def test_delta_series_rejects_unknown_form():
+    with pytest.raises(ValueError, match="unknown form"):
+        delta_series("foo", 10)
+
+
 def test_dilated_terms_are_zero_extended():
     table = CuspTable(80)
     royer_undilated = tuple(t for t in ROYER_1_14 if t.d != 2 or t.kind != "form")
@@ -71,10 +76,10 @@ def test_dilated_terms_are_zero_extended():
     assert len(royer_undilated) < len(ROYER_1_14)
     assert len(raw_undilated) < len(R7_CLOSED_RAW)
     for n in range(1, 81, 2):
-        assert w_1_14_royer(n, table) == evaluate(royer_undilated, n, table, "W"), n
+        assert w_1_14_royer(n) == evaluate(royer_undilated, n, "W"), n
     for n in range(1, 81):
         if n % 4:
-            assert r7_closed_raw(n, table) == evaluate(raw_undilated, n, table, "R7"), n
+            assert r7_closed_raw(n) == evaluate(raw_undilated, n, "R7"), n
     for j in range(1, 10):
         assert table.c(j, 0) == 0 and table.c(j, -2) == 0
     for name in DELTA_FORMS:
@@ -83,33 +88,30 @@ def test_dilated_terms_are_zero_extended():
 
 
 def test_royer_formula_examples():
-    table = CuspTable(40)
-    assert w_1_14_royer(15, table) == 1
-    assert w_1_14_royer(1, table) == 0
+    assert w_1_14_royer(15) == 1
+    assert w_1_14_royer(1) == 0
     with pytest.raises(ValueError):
-        w_1_14_royer(0, table)
+        w_1_14_royer(0)
 
 
 def test_royer_matches_brute_force():
-    table = CuspTable(200)
     for n in range(1, 201):
-        assert w_1_14_royer(n, table) == w_brute(1, 14, n), n
+        assert w_1_14_royer(n) == w_brute(1, 14, n), n
 
 
 def test_lemire_formula_examples():
-    table = CuspTable(40)
-    assert w_1_7_lemire(8, table) == 1
-    assert w_1_7_lemire(1, table) == 0
+    assert w_1_7_lemire(8) == 1
+    assert w_1_7_lemire(1) == 0
     with pytest.raises(ValueError):
-        w_1_7_lemire(0, table)
+        w_1_7_lemire(0)
 
 
-def test_lemire_matches_brute_and_closed_form(cusp1000):
+def test_lemire_matches_brute_and_closed_form():
     assert delta_4_7_cuberoot(300) == delta_4_7_eta(300)
     for n in range(1, 301):
-        value = w_1_7_lemire(n, cusp1000)
+        value = w_1_7_lemire(n)
         assert value == w_brute(1, 7, n), n
-        assert value == w_formula((1, 7), n, cusp1000), n
+        assert value == w_formula((1, 7), n), n
 
 
 def test_royer_and_lemire_default_to_shared_cusp_table(monkeypatch):

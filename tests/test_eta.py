@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import sigma_convolve.eta as eta
+from sigma_convolve.deltaforms import CUBE_BRACKET_LEVEL, CUBE_BRACKET_TERMS
 from sigma_convolve.errors import FractionalExponent, NegativeValuation, OutOfRange
 from sigma_convolve.eta import (
     CUSP_GENERATORS,
@@ -9,7 +11,6 @@ from sigma_convolve.eta import (
     EtaQuotientSpec,
     c_series,
     cusp_spec,
-    eta_factor,
     expand,
     ligozat_check,
 )
@@ -55,19 +56,33 @@ def test_spec_from_string():
         EtaQuotientSpec.from_string(28, "")
 
 
-def test_eta_factor_examples():
-    f = eta_factor(1, 1, 3)
-    assert f.offset24 == 1
-    assert f.body.coeffs == (1, -1, -1, 0)
-    assert eta_factor(1, 24, 2).body.coeffs == (1, -24, 252)
-    assert eta_factor(7, 1, 6).body == QSeries.one(6)
+def test_expand_against_naive_product():
+    # Delta = eta(z)^24 = q - 24 q^2 + 252 q^3 - ...
+    assert expand(EtaQuotientSpec(1, {1: 24}), 3).coeffs == (0, 1, -24, 252)
+    specs = [cusp_spec(j) for j in CUSP_GENERATORS]
+    specs += [EtaQuotientSpec(CUBE_BRACKET_LEVEL, exps) for _, exps in CUBE_BRACKET_TERMS]
+    # mixed signs, with q-powers 2, 1 and 1
+    specs += [EtaQuotientSpec(2, {1: -12, 2: 30}), EtaQuotientSpec(5, {1: -1, 5: 5}),
+              EtaQuotientSpec(6, {1: 3, 3: -1, 6: 4})]
+    order = 40
+    for spec in specs:
+        assert spec.offset24() % 24 == 0, spec
+        body = QSeries.one(order)
+        for delta, r in spec.exponents.items():
+            body = body * naive_product_body(delta, r, order)
+        shifted = QSeries([0] * (spec.offset24() // 24) + list(body.coeffs), order)
+        assert expand(spec, order) == shifted, spec
 
 
-def test_eta_factor_against_naive_product():
-    for delta in (1, 2, 7):
-        for r in (1, 2, -1, 5):
-            got = eta_factor(delta, r, 25).body
-            assert got == naive_product_body(delta, r, 25), (delta, r)
+def test_expand_checks_q_power_before_series_work(monkeypatch):
+    def no_series(delta, order):
+        raise AssertionError("series built before the q-power check")
+
+    monkeypatch.setattr(eta, "_euler_product", no_series)
+    with pytest.raises(FractionalExponent):
+        expand(EtaQuotientSpec(1, {1: 1}), 10**7)
+    with pytest.raises(NegativeValuation):
+        expand(EtaQuotientSpec(1, {1: -24}), 10**7)
 
 
 def test_expand_examples():

@@ -63,35 +63,35 @@ def test_r7_enumerate_examples():
     assert r7_enumerate(7) == 72
 
 
-def test_r7_via_w_examples(cusp1000):
-    assert r7_via_w(1, cusp1000) == 8
-    assert r7_via_w(7, cusp1000) == 72
-    assert r7_via_w(8, cusp1000) == 88
+def test_r7_via_w_examples():
+    assert r7_via_w(1) == 8
+    assert r7_via_w(7) == 72
+    assert r7_via_w(8) == 88
     with pytest.raises(ValueError):
-        r7_via_w(0, cusp1000)
+        r7_via_w(0)
 
 
-def test_r7_closed_examples(cusp1000):
-    assert r7_closed(1, cusp1000) == 8
-    assert r7_closed(7, cusp1000) == 72
-    assert r7_closed(28, cusp1000) == r7_enumerate(28)
+def test_r7_closed_examples():
+    assert r7_closed(1) == 8
+    assert r7_closed(7) == 72
+    assert r7_closed(28) == r7_enumerate(28)
     with pytest.raises(ValueError):
-        r7_closed(0, cusp1000)
+        r7_closed(0)
 
 
-def test_r7_three_way_agreement(cusp1000):
+def test_r7_three_way_agreement():
     for n in range(1, 201):
         e = r7_enumerate(n)
-        assert r7_via_w(n, cusp1000) == e, n
-        assert r7_closed(n, cusp1000) == e, n
+        assert r7_via_w(n) == e, n
+        assert r7_closed(n) == e, n
 
 
-def test_r7_unsimplified_form_agrees(cusp1000):
+def test_r7_unsimplified_form_agrees():
     for n in range(1, 201):
-        assert r7_closed_raw(n, cusp1000) == r7_closed(n, cusp1000), n
+        assert r7_closed_raw(n) == r7_closed(n), n
 
 
-def test_derivation_replay_positive_split(cusp1000):
+def test_derivation_replay_positive_split():
     # the positive part of the split convolution equals the W combination
     for n in range(1, 201):
         lhs = sum(
@@ -99,11 +99,11 @@ def test_derivation_replay_positive_split(cusp1000):
             for m in range(1, n // 7 + 1)
             if n - 7 * m >= 1
         )
-        rhs = 64 * w_formula((1, 7), n, cusp1000) - 256 * (
-            w_formula((4, 7), n, cusp1000) + w_formula((1, 28), n, cusp1000)
+        rhs = 64 * w_formula((1, 7), n) - 256 * (
+            w_formula((4, 7), n) + w_formula((1, 28), n)
         )
         if n % 4 == 0:
-            rhs += 1024 * w_formula((1, 7), n // 4, cusp1000)
+            rhs += 1024 * w_formula((1, 7), n // 4)
         assert lhs == rhs, n
 
 
@@ -114,7 +114,7 @@ def test_cusp_shift_identity():
         verify_cusp_shift_identity(31)
 
 
-def test_r7_closed_raw_rejects_corrupt_table(cusp1000, monkeypatch):
+def test_r7_closed_raw_rejects_corrupt_table(monkeypatch):
     import sigma_convolve.representations as reps
     from fractions import Fraction
 
@@ -124,4 +124,4 @@ def test_r7_closed_raw_rejects_corrupt_table(cusp1000, monkeypatch):
         monkeypatch.setattr(reps, name, (good[0]._replace(const=Fraction(1, 23)),) + good[1:])
         with pytest.raises(NonIntegralResult):
             for n in range(1, 30):
-                fn(n, cusp1000)
+                fn(n)
