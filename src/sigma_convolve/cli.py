@@ -4,12 +4,18 @@ Subcommands: wab (convolution tables), verify (identity suite), eta
 (quotient report and expansion), r7 (representation counts), delta (cusp
 form coefficients), decompose (basis coordinates as JSON).
 
+wab, r7 and delta print through one tabulator, which takes an ordered map
+from column header to a function of n. Two or more columns evaluate one
+quantity different ways: the table then gains a match column, and any
+disagreement exits 2. Each verify identity is a check at a given order;
+the suite runs it at the requested order raised to the identity's Sturm
+bound, or to 3 for the cube-root consistency check, which has none.
+
 Exit codes: 0 success, 1 usage error, 2 table mismatch, 3 identity
 failure, 4 domain error (for example a fractional q-power). The
 SIGMA_CONVOLVE_ORDER environment variable overrides the default
 truncation order of verify and decompose when their flags are absent.
-All arithmetic lives in the library modules; this file only parses flags
-and renders rows.
+All arithmetic lives in the library modules.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Callable, Sequence
 
@@ -29,10 +36,12 @@ from .eta import EtaQuotientSpec, expand, ligozat_check
 from .modforms import (
     KNOWN_DECOMPOSITIONS,
     Basis28,
+    CoeffVector,
     decompose,
     reconstruct,
     sturm_bound,
 )
+from .qseries import QSeries
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,24 +82,31 @@ def _json_scalar(v: object) -> object:
     return v
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _emit_json(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    payload = [
-        {key: _json_scalar(v) for key, v in zip(header, row)} for row in rows
-    ]
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
 def _emit(fmt: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
     if fmt == "csv":
-        _emit_csv(header, rows)
+        lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
-        _emit_json(header, rows)
+        payload = [{k: _json_scalar(v) for k, v in zip(header, row)} for row in rows]
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+
+
+def _tabulate(fmt: str, n_max: int, columns: dict[str, Callable[[int], object]]) -> int:
+    """Print one row per n = 1..n_max with a value per column. Two or more
+    columns are evaluations of one quantity: a match column is appended and
+    any disagreement exits EXIT_MISMATCH."""
+    compare = len(columns) > 1
+    rows: list[list[object]] = []
+    mismatch = False
+    for n in range(1, n_max + 1):
+        values = [fn(n) for fn in columns.values()]
+        rows.append([n, *values])
+        if compare:
+            ok = all(v == values[0] for v in values)
+            mismatch = mismatch or not ok
+            rows[-1].append(int(ok))
+    _emit(fmt, ["n", *columns, *(["match"] if compare else [])], rows)
+    return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
 def _require_positive(value: int, flag: str) -> int:
@@ -107,92 +123,67 @@ def cmd_wab(args: argparse.Namespace) -> int:
     b = _require_positive(args.b, "--b")
     n_max = _require_positive(args.n_max, "--n-max")
 
-    g = gcd(a, b)
-    reduced = tuple(sorted((a // g, b // g)))
-    if args.mode in ("formula", "both") and reduced not in convolution.FORMULAS:
-        sys.stderr.write(
-            f"no closed form for pair ({a},{b}) (reduces to {reduced})\n"
-        )
-        return EXIT_DOMAIN
-
+    columns: dict[str, Callable[[int], object]] = {}
     if args.mode in ("formula", "both"):
+        g = gcd(a, b)
+        reduced = tuple(sorted((a // g, b // g)))
+        if reduced not in convolution.FORMULAS:
+            sys.stderr.write(
+                f"no closed form for pair ({a},{b}) (reduces to {reduced})\n"
+            )
+            return EXIT_DOMAIN
         # size the shared cusp table once: grown row by row, it would
         # re-expand all nine generators at every doubling
         convolution.shared_cusp_table(max(1, n_max // g))
-
-    rows: list[list[object]] = []
-    mismatch = False
-    for n in range(1, n_max + 1):
-        row: list[object] = [n]
-        if args.mode in ("formula", "both"):
-            row.append(convolution.w_reduce(a, b, n))
-        if args.mode in ("brute", "both"):
-            row.append(convolution.w_brute(a, b, n))
-        if args.mode == "both":
-            ok = row[1] == row[2]
-            mismatch = mismatch or not ok
-            row.append(int(ok))
-        rows.append(row)
-
-    header = {
-        "formula": ["n", "w_formula"],
-        "brute": ["n", "w_brute"],
-        "both": ["n", "w_formula", "w_brute", "match"],
-    }[args.mode]
-    _emit(args.format, header, rows)
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+        columns["w_formula"] = lambda n: convolution.w_reduce(a, b, n)
+    if args.mode in ("brute", "both"):
+        columns["w_brute"] = lambda n: convolution.w_brute(a, b, n)
+    return _tabulate(args.format, n_max, columns)
 
 
 # -- verify ---------------------------------------------------------------
 
 
-def _check_decomposition(pair: tuple[int, int], order: int) -> tuple[bool, int]:
-    eff = max(order, 16)
-    basis = Basis28.at_order(eff)
-    target = l_combination(pair[0], pair[1], eff) ** 2
-    vec = decompose(target, basis, 16)
-    ok = vec == KNOWN_DECOMPOSITIONS[pair]
-    ok = ok and reconstruct(vec, basis).equal_up_to(target, eff)
-    return ok, eff
+def _decompose(
+    pair: tuple[int, int], order: int, rows: int
+) -> tuple[Basis28, QSeries, CoeffVector]:
+    """Basis and squared Eisenstein combination at the given order, and the
+    target's coordinates solved from its first ``rows`` coefficients."""
+    basis = Basis28.at_order(order)
+    target = l_combination(pair[0], pair[1], order) ** 2
+    return basis, target, decompose(target, basis, rows)
 
-def _check_shift(order: int) -> tuple[bool, int]:
-    eff = max(order, 32)
-    return representations.verify_cusp_shift_identity(eff), eff
 
-def _check_root_vs_eta(order: int) -> tuple[bool, int]:
-    eff = max(order, 3)
-    lhs = deltaforms.delta_4_7_cuberoot(eff)
-    return lhs == deltaforms.delta_4_7_eta(eff), eff
+def _check_decomposition(pair: tuple[int, int], order: int) -> bool:
+    basis, target, vec = _decompose(pair, order, sturm_bound(28))
+    return vec == KNOWN_DECOMPOSITIONS[pair] and reconstruct(vec, basis).equal_up_to(target, order)
 
-def _check_cube(order: int) -> tuple[bool, int]:
-    eff = max(order, 3)
-    bracket = deltaforms.cube_bracket(eff + 2)
+
+def _check_cube(order: int) -> bool:
+    bracket = deltaforms.cube_bracket(order + 2)
     root = bracket.cube_root(3)
-    return (root ** 3).equal_up_to(bracket.truncate(eff), eff), eff
-
-def _check_vs_brute(
-    formula: Callable[[int], int], pair: tuple[int, int], floor: int, order: int
-) -> tuple[bool, int]:
-    eff = max(order, floor)
-    convolution.shared_cusp_table(eff)  # one build, as in cmd_wab
-    ok = all(formula(n) == convolution.w_brute(*pair, n) for n in range(1, eff + 1))
-    return ok, eff
+    return (root ** 3).equal_up_to(bracket.truncate(order), order)
 
 
-# (name, Sturm bound or None, checker(order) -> (ok, checked_to))
-_IDENTITY_SUITE: list[tuple[str, int | None, Callable[[int], tuple[bool, int]]]] = [
-    ("decomposition (1,28)", sturm_bound(28), lambda o: _check_decomposition((1, 28), o)),
-    ("decomposition (4,7)", sturm_bound(28), lambda o: _check_decomposition((4, 7), o)),
-    ("decomposition (1,14)", sturm_bound(28), lambda o: _check_decomposition((1, 14), o)),
-    ("decomposition (2,7)", sturm_bound(28), lambda o: _check_decomposition((2, 7), o)),
-    ("decomposition (1,7)", sturm_bound(28), lambda o: _check_decomposition((1, 7), o)),
-    ("cusp shift (level 56)", sturm_bound(56), _check_shift),
-    ("cube root vs eta combination", sturm_bound(7), _check_root_vs_eta),
+def _check_vs_brute(formula: Callable[[int], int], pair: tuple[int, int], order: int) -> bool:
+    convolution.shared_cusp_table(order)  # one build, as in cmd_wab
+    return all(formula(n) == convolution.w_brute(*pair, n) for n in range(1, order + 1))
+
+
+# (name, Sturm bound or None, check(order) -> ok). cmd_verify runs each
+# check at max(order, bound or 3); 3 is the least order of the cube root.
+_IDENTITY_SUITE: list[tuple[str, int | None, Callable[[int], bool]]] = [
+    *((f"decomposition ({a},{b})", sturm_bound(28), partial(_check_decomposition, (a, b)))
+      for a, b in KNOWN_DECOMPOSITIONS),
+    ("cusp shift (level 56)", sturm_bound(56),
+     lambda o: representations.verify_cusp_shift_identity(o)),
+    ("cube root vs eta combination", sturm_bound(7),
+     lambda o: deltaforms.delta_4_7_cuberoot(o) == deltaforms.delta_4_7_eta(o)),
     ("cube root consistency", None, _check_cube),
     ("level-14 formula vs brute force", sturm_bound(14),
-     lambda o: _check_vs_brute(deltaforms.w_1_14_royer, (1, 14), 8, o)),
+     lambda o: _check_vs_brute(deltaforms.w_1_14_royer, (1, 14), o)),
     ("level-7 formula vs brute force", sturm_bound(7),
-     lambda o: _check_vs_brute(deltaforms.w_1_7_lemire, (1, 7), 3, o)),
+     lambda o: _check_vs_brute(deltaforms.w_1_7_lemire, (1, 7), o)),
 ]
 
 
@@ -200,10 +191,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     order = _require_positive(args.order, "--order")
     results = []
     for name, bound, check in _IDENTITY_SUITE:
-        ok, checked = check(order)
+        checked = max(order, bound or 3)
         results.append({
             "identity": name,
-            "ok": ok,
+            "ok": check(checked),
             "sturm_bound": bound,
             "checked_to": checked,
         })
@@ -272,28 +263,12 @@ def cmd_r7(args: argparse.Namespace) -> int:
     modes = ("closed", "via-w", "enumerate") if args.mode == "all" else (args.mode,)
     if {"closed", "via-w"} & set(modes):
         convolution.shared_cusp_table(n_max)  # one build, as in cmd_wab
-
     evaluators = {
         "closed": representations.r7_closed,
         "via-w": representations.r7_via_w,
         "enumerate": representations.r7_enumerate,
     }
-    rows: list[list[object]] = []
-    mismatch = False
-    for n in range(1, n_max + 1):
-        values = [evaluators[m](n) for m in modes]
-        row: list[object] = [n, *values]
-        if args.mode == "all":
-            ok = len(set(values)) == 1
-            mismatch = mismatch or not ok
-            row.append(int(ok))
-        rows.append(row)
-
-    header = ["n"] + [m.replace("-", "_") for m in modes]
-    if args.mode == "all":
-        header.append("match")
-    _emit(args.format, header, rows)
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+    return _tabulate(args.format, n_max, {m.replace("-", "_"): evaluators[m] for m in modes})
 
 
 # -- delta ----------------------------------------------------------------
@@ -301,9 +276,7 @@ def cmd_r7(args: argparse.Namespace) -> int:
 def cmd_delta(args: argparse.Namespace) -> int:
     terms = _require_positive(args.terms, "--terms")
     series = deltaforms.delta_series(args.form, terms)
-    rows = [[n, series.coefficient(n)] for n in range(1, terms + 1)]
-    _emit(args.format, ["n", "coefficient"], rows)
-    return EXIT_OK
+    return _tabulate(args.format, terms, {"coefficient": series.coefficient})
 
 
 # -- decompose ------------------------------------------------------------
@@ -324,9 +297,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if n_max < 16:
         raise CliUsageError(f"--n-max must be >= 16, got {n_max}")
 
-    basis = Basis28.at_order(n_max)
-    target = l_combination(pair[0], pair[1], n_max) ** 2
-    vec = decompose(target, basis, n_max)
+    _, _, vec = _decompose(pair, n_max, n_max)
     payload = {
         "pair": list(pair),
         "x": {str(t): _json_scalar(v) for t, v in vec.x.items()},

@@ -18,7 +18,7 @@ from math import gcd, isqrt
 from types import MappingProxyType
 from typing import Mapping
 
-from .arith import divisors, is_int, normalize, prime_factors
+from .arith import divisors, is_int, normalize
 from .errors import FractionalExponent, NegativeValuation, OutOfRange
 from .qseries import QSeries
 
@@ -145,10 +145,6 @@ def expand(spec: EtaQuotientSpec, order: int) -> QSeries:
     return QSeries([0] * min(shift, order + 1) + list(body.coeffs), order)
 
 
-def _is_rational_square(exps_by_prime: dict[int, int]) -> bool:
-    return all(e % 2 == 0 for e in exps_by_prime.values())
-
-
 def ligozat_check(spec: EtaQuotientSpec) -> LigozatReport:
     """Evaluate the modularity criterion for an eta quotient.
 
@@ -166,15 +162,13 @@ def ligozat_check(spec: EtaQuotientSpec) -> LigozatReport:
     cond_ii = sum((n // d) * r for d, r in items) % 24 == 0
     cond_iv = isinstance(weight_k, int) and weight_k % 2 == 0
 
-    # s = prod delta^r_delta, assembled exactly with negative exponents allowed
+    # s = prod delta^r_delta, exact with negative exponents allowed; a
+    # reduced fraction is a rational square iff both its parts are squares
     s_frac = Fraction(1)
-    s_prime_exps: dict[int, int] = {}
     for d, r in items:
         s_frac *= Fraction(d) ** r
-        for p, e in prime_factors(d).items():
-            s_prime_exps[p] = s_prime_exps.get(p, 0) + e * r
     s_value = normalize(s_frac)
-    cond_v = _is_rational_square(s_prime_exps)
+    cond_v = all(isqrt(x) ** 2 == x for x in (s_frac.numerator, s_frac.denominator))
 
     cusp_orders: dict[int, int | Fraction] = {}
     for d in divisors(n):

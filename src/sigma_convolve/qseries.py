@@ -201,19 +201,17 @@ class QSeries:
         m = lead // 3
         u = self._coeffs[lead:]  # unit series, u[0] = 1
         nu = len(u) - 1
-        # r^3 = u with r_0 = 1; from 3*u*r' = u'*r, comparing q^n coefficients:
-        # 3(n+1) r_{n+1} = sum_{j=0}^{n} (j+1) u_{j+1} r_{n-j}
-        #                  - 3 sum_{j=0}^{n-1} (j+1) r_{j+1} u_{n-j}
+        # r^3 = u with r_0 = 1, by the power recurrence for r = u^(1/3):
+        # 3k r_k = sum_{i=1}^{k} (4i - 3k) u_i r_{k-i}, over the support of u
+        support = [i for i in range(1, nu + 1) if u[i]]
         r: list[Coeff] = [1]
-        for n in range(nu):
+        for k in range(1, nu + 1):
             acc: Coeff = 0
-            for j in range(n + 1):
-                if u[j + 1]:
-                    acc += (j + 1) * u[j + 1] * r[n - j]
-            for j in range(n):
-                if u[n - j]:
-                    acc -= 3 * (j + 1) * r[j + 1] * u[n - j]
-            r.append(exact_div(acc, 3 * (n + 1)))
+            for i in support:
+                if i > k:
+                    break
+                acc += (4 * i - 3 * k) * u[i] * r[k - i]
+            r.append(exact_div(acc, 3 * k))
         out_order = self.order - 2 * m
         out: list[Coeff] = [0] * (out_order + 1)
         for i, c in enumerate(r):

@@ -7,6 +7,9 @@ The exception runs ``python -m sigma_convolve.cli`` as a subprocess to
 cover the module entry point itself.
 """
 
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
@@ -173,6 +176,36 @@ def test_verify_json_report(capsys):
     for r in report:
         if r["sturm_bound"] is not None:
             assert r["checked_to"] >= r["sturm_bound"]
+
+
+@functools.cache
+def _verify_report(order):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--order", str(order), "--report", "json"]) == EXIT_OK
+    return {r["identity"]: r for r in json.loads(out.getvalue())}
+
+
+@pytest.mark.parametrize("order", [1, 40])
+@pytest.mark.parametrize("name, bound", [
+    ("decomposition (1,28)", 16),
+    ("decomposition (4,7)", 16),
+    ("decomposition (1,14)", 16),
+    ("decomposition (2,7)", 16),
+    ("decomposition (1,7)", 16),
+    ("cusp shift (level 56)", 32),
+    ("cube root vs eta combination", 3),
+    ("cube root consistency", None),
+    ("level-14 formula vs brute force", 8),
+    ("level-7 formula vs brute force", 3),
+])
+def test_verify_checks_each_identity_at_order_raised_to_its_bound(name, bound, order):
+    # one rule for every identity: the requested order, raised to the Sturm
+    # bound, or to 3 (the cube root's least order) where there is none
+    r = _verify_report(order)[name]
+    assert r["ok"] is True
+    assert r["sturm_bound"] == bound
+    assert r["checked_to"] == max(order, bound or 3)
 
 
 def test_verify_env_var_sets_order(capsys, monkeypatch):

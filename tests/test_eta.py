@@ -133,6 +133,18 @@ def test_ligozat_condition_v_odd_exponent():
     assert not report.cond_v
 
 
+@pytest.mark.parametrize("exps, s, square", [
+    ({1: 1, 2: -1}, Fraction(1, 2), False),    # square numerator only
+    ({2: 2, 3: -1}, Fraction(4, 3), False),    # square numerator only
+    ({2: 2, 3: -2}, Fraction(4, 9), True),
+    ({1: 3, 6: -2, 3: 2}, Fraction(1, 4), True),  # 9/36 reduces to 1/4
+])
+def test_ligozat_condition_v_reads_both_parts_of_s(exps, s, square):
+    report = ligozat_check(EtaQuotientSpec(6, exps))
+    assert report.s_value == s
+    assert report.cond_v is square
+
+
 def test_generator_leading_terms():
     for j, exps in CUSP_GENERATORS.items():
         series = c_series(j, 20)
