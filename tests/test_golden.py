@@ -2,11 +2,13 @@
 
 Each entry pins the sha256 of ``cli.main`` stdout for one invocation. The
 digests of the closed-form tables were captured before the closed forms
-moved onto the shared term evaluator, and those of the brute-force oracle
+moved onto the shared term evaluator, those of the brute-force oracle
 tables (``--mode brute``, ``--mode enumerate``) before the oracles moved
-onto sigma tables, so any change to a single printed byte of a table,
-decomposition or verify report fails here. They are an equality contract: when output
-changes on purpose, re-capture them and say why in the change log.
+onto sigma tables, and those of ``eta`` and the long ``delta`` table before
+each eta factor was expanded at its own dilated order. So any change to a
+single printed byte of a table, decomposition or verify report fails here.
+They are an equality contract: when output changes on purpose, re-capture
+them and say why in the change log.
 """
 
 import hashlib
@@ -57,6 +59,15 @@ GOLDEN: list[tuple[tuple[str, ...], str]] = [
      "ac58a1f61a58f05ec1bf616fd0087eb8d26ad77ce5dba6366115ff41f7b5e2e3"),
     (("r7", "--n-max", "600", "--mode", "enumerate"),
      "eee355850c82664e3bd51da511022d3283f563c907be1460717738dbf1916ac6"),
+    # raw eta expansions with factors in q^14 and q^28 and a cubed inverse
+    # (C_9), and with two inverted factors (C_4); pinned before each factor
+    # was expanded at its own dilated order
+    (("eta", "--level", "28", "--spec", "2:1,4:1,14:-3,28:9", "--terms", "1200"),
+     "8f4a71a3cc4fa218a07c4776d12c8a81ef17f0f7be8ccb44c47099e0c18559ce"),
+    (("eta", "--level", "28", "--spec", "1:-2,2:6,7:6,14:-2", "--terms", "1200"),
+     "5ebcdaca22a0f834916fa43a176706855f0c0c514b83c8dca53c46f8c4199425"),
+    (("delta", "--form", "4,14,2", "--terms", "1500"),
+     "6060c6fc2f7d062aa59d251d52c74e60bb462415c7f65be2e3fcdc1053c49005"),
 ]
 
 
