@@ -7,7 +7,12 @@ q^(1/24) * prod (1 - q^n). The fractional power of q never enters the
 series ring: ``expand`` reads the accumulated exponent, in units of 1/24,
 from the spec ("offset24"), rejects it unless it is a nonnegative multiple
 of 24 before any series work, and shifts the product of the integer-exponent
-Euler products by offset24/24.
+Euler products by offset24/24. Each factor P(q^delta)^r_delta is a series in
+q^delta: it is raised (and inverted when r_delta < 0) at order // delta and
+then dilated, placing coefficient i at index i*delta.
+
+A ``CuspTable`` expands a generator on its first read, so a table that
+reads two of the nine generators expands only those two.
 """
 
 from __future__ import annotations
@@ -104,14 +109,19 @@ class LigozatReport:
     is_cusp: bool
 
 
-def _euler_product(delta: int, order: int) -> QSeries:
-    """prod_{n>=1} (1 - q^(delta*n)) via the pentagonal number expansion."""
+def _check_order(order: object, least: int) -> None:
+    if not is_int(order) or order < least:
+        raise ValueError(f"order must be an integer >= {least}, got {order!r}")
+
+
+def _euler_product(order: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n) via the pentagonal number expansion."""
     out: list[int] = [0] * (order + 1)
     out[0] = 1
     m = 1
     while True:
-        e1 = delta * m * (3 * m - 1) // 2
-        e2 = delta * m * (3 * m + 1) // 2
+        e1 = m * (3 * m - 1) // 2
+        e2 = m * (3 * m + 1) // 2
         if e1 > order and e2 > order:
             break
         sign = -1 if m % 2 else 1
@@ -126,9 +136,10 @@ def _euler_product(delta: int, order: int) -> QSeries:
 def expand(spec: EtaQuotientSpec, order: int) -> QSeries:
     """Full q-expansion of an eta quotient as a plain series.
 
-    The q-power q^(offset24/24) must be whole and nonnegative; that is
-    checked before any series is built.
+    The order must be an int >= 0, and the q-power q^(offset24/24) whole
+    and nonnegative; both are checked before any series is built.
     """
+    _check_order(order, 0)
     offset24 = spec.offset24()
     if offset24 % 24 != 0:
         raise FractionalExponent(f"q-exponent {offset24}/24 is not an integer")
@@ -137,9 +148,13 @@ def expand(spec: EtaQuotientSpec, order: int) -> QSeries:
         raise NegativeValuation(f"leading q-power {shift} is negative")
     body: QSeries | None = None
     for delta, r in spec.exponents.items():
-        factor = _euler_product(delta, order) ** abs(r)
+        # P(q)^r at order // delta, dilated to P(q^delta)^r at order
+        factor = _euler_product(order // delta) ** abs(r)
         if r < 0:
             factor = factor.inverse()
+        dilated = [0] * (order + 1)
+        dilated[::delta] = factor.coeffs
+        factor = QSeries(dilated, order)
         body = factor if body is None else body * factor
     assert body is not None
     return QSeries([0] * min(shift, order + 1) + list(body.coeffs), order)
@@ -222,6 +237,7 @@ _cusp_cache: dict[int, QSeries] = {}
 
 def c_series(j: int, order: int) -> QSeries:
     """q-expansion of the j-th cusp generator, cached at the largest order seen."""
+    _check_order(order, 0)
     cached = _cusp_cache.get(j)
     if cached is None or cached.order < order:
         cached = expand(cusp_spec(j), order)
@@ -230,32 +246,32 @@ def c_series(j: int, order: int) -> QSeries:
 
 
 class CuspTable:
-    """All nine generator expansions at one order, with indexed access c(j, n)."""
+    """The nine generator expansions at one order, with indexed access c(j, n).
+
+    A generator is expanded on its first read and kept.
+    """
 
     __slots__ = ("order", "_series")
 
     def __init__(self, order: int):
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
+        _check_order(order, 1)
         object.__setattr__(self, "order", order)
-        object.__setattr__(
-            self, "_series", {j: c_series(j, order) for j in range(1, 10)}
-        )
+        object.__setattr__(self, "_series", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CuspTable is immutable")
 
     def series(self, j: int) -> QSeries:
         if j not in self._series:
-            raise ValueError(f"generator index must be 1..9, got {j}")
+            # c_series checks the index before expanding anything
+            self._series[j] = c_series(j, self.order)
         return self._series[j]
 
     def c(self, j: int, n: int) -> int | Fraction:
         """Coefficient c_j(n), zero-extended to n < 1."""
-        if j not in self._series:
-            raise ValueError(f"generator index must be 1..9, got {j}")
+        series = self.series(j)
         if n < 1:
             return 0
         if n > self.order:
             raise OutOfRange(f"coefficient {n} beyond table order {self.order}")
-        return self._series[j].coeffs[n]
+        return series.coeffs[n]

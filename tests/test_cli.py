@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from sigma_convolve import cli, convolution, modforms
+from sigma_convolve import cli, convolution, eta, modforms
 from sigma_convolve.cli import (
     EXIT_DOMAIN,
     EXIT_IDENTITY,
@@ -341,6 +341,19 @@ def test_cli_builds_the_cusp_table_once(capsys, monkeypatch, argv, order):
     code, _, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert built == [order]
+
+
+@pytest.mark.parametrize("argv, expanded", [
+    (("wab", "--a", "1", "--b", "7", "--n-max", "200", "--mode", "formula"), {1, 2}),
+    (("wab", "--a", "2", "--b", "7", "--n-max", "200", "--mode", "formula"), {2, 3, 4}),
+    (("r7", "--n-max", "200", "--mode", "closed"), set(range(1, 10))),
+])
+def test_cli_expands_only_the_generators_its_table_reads(capsys, monkeypatch, argv, expanded):
+    monkeypatch.setattr(convolution, "_shared_table", None)
+    monkeypatch.setattr(eta, "_cusp_cache", {})
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert set(eta._cusp_cache) == expanded
 
 
 # -- r7 ---------------------------------------------------------------

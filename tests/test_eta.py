@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import sigma_convolve.eta as eta
+from sigma_convolve.arith import divisors
 from sigma_convolve.deltaforms import CUBE_BRACKET_LEVEL, CUBE_BRACKET_TERMS
 from sigma_convolve.errors import FractionalExponent, NegativeValuation, OutOfRange
 from sigma_convolve.eta import (
@@ -75,7 +78,7 @@ def test_expand_against_naive_product():
 
 
 def test_expand_checks_q_power_before_series_work(monkeypatch):
-    def no_series(delta, order):
+    def no_series(order):
         raise AssertionError("series built before the q-power check")
 
     monkeypatch.setattr(eta, "_euler_product", no_series)
@@ -83,6 +86,88 @@ def test_expand_checks_q_power_before_series_work(monkeypatch):
         expand(EtaQuotientSpec(1, {1: 1}), 10**7)
     with pytest.raises(NegativeValuation):
         expand(EtaQuotientSpec(1, {1: -24}), 10**7)
+
+
+def full_order_expand(spec: EtaQuotientSpec, order: int) -> QSeries:
+    """Test-local reference: the earlier kernel, which raised and inverted
+    every factor P(q^delta)^|r| at the full order."""
+    body = QSeries.one(order)
+    for delta, r in spec.exponents.items():
+        # the pentagonal expansion of P(q^delta) at the full order
+        factor = eta._euler_product(order).substitute_power(delta) ** abs(r)
+        if r < 0:
+            factor = factor.inverse()
+        body = body * factor
+    shift = spec.offset24() // 24
+    return QSeries([0] * min(shift, order + 1) + list(body.coeffs), order)
+
+
+@st.composite
+def whole_specs(draw):
+    """Specs on levels up to 28 with exponents in -4..8 and a whole,
+    nonnegative q-power: every exponent is drawn, then one is redrawn among
+    the values that make the q-power whole."""
+    level = draw(st.integers(1, 28))
+    exps = {d: draw(st.integers(-4, 8)) for d in divisors(level)}
+    total = sum(d * r for d, r in exps.items())
+    fixes = [(d, r) for d in exps for r in range(-4, 9)
+             if r and (new_total := total + d * (r - exps[d])) % 24 == 0 and new_total >= 0]
+    assume(fixes)
+    d, r = draw(st.sampled_from(fixes))
+    exps[d] = r
+    return EtaQuotientSpec(level, exps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=whole_specs(), order=st.integers(0, 300))
+@example(spec=cusp_spec(9), order=85)        # 14 and 28 both miss 85
+@example(spec=cusp_spec(9), order=27)        # order < 28
+@example(spec=EtaQuotientSpec(28, {28: 6}), order=5)
+@example(spec=EtaQuotientSpec(28, {28: 6}), order=0)
+def test_expand_matches_full_order_reference(spec, order):
+    assert expand(spec, order) == full_order_expand(spec, order)
+
+
+def test_generators_match_full_order_reference_at_1000():
+    for j in CUSP_GENERATORS:
+        assert expand(cusp_spec(j), 1000) == full_order_expand(cusp_spec(j), 1000), j
+
+
+@pytest.mark.parametrize("order", [-1, True, False, 2.5, "10", None])
+def test_expand_and_c_series_reject_bad_orders(monkeypatch, order):
+    c_series(1, 5)  # a warm cache must not answer a bad order either
+
+    def no_series(n):
+        raise AssertionError("series built for a bad order")
+
+    monkeypatch.setattr(eta, "_euler_product", no_series)
+    with pytest.raises(ValueError):
+        expand(cusp_spec(1), order)
+    with pytest.raises(ValueError):
+        c_series(1, order)
+    monkeypatch.setattr(eta, "_cusp_cache", {})
+    with pytest.raises(ValueError):
+        c_series(1, order)
+
+
+@pytest.mark.parametrize("order", [-3, True, False, 2.5, "10", None])
+def test_cusp_table_rejects_bad_orders(order):
+    with pytest.raises(ValueError):
+        CuspTable(order)
+
+
+def test_cusp_table_expands_a_generator_on_first_read(monkeypatch):
+    monkeypatch.setattr(eta, "_cusp_cache", {})
+    table = CuspTable(50)
+    assert eta._cusp_cache == {}
+    with pytest.raises(ValueError):
+        table.c(10, 1)
+    with pytest.raises(ValueError):
+        table.series(0)
+    assert eta._cusp_cache == {}
+    assert table.c(3, 3) == 1
+    assert set(eta._cusp_cache) == {3}
+    assert table.series(3) is table.series(3)
 
 
 def test_expand_examples():
