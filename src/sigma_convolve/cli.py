@@ -35,6 +35,7 @@ from .eisenstein import l_combination
 from .eta import EtaQuotientSpec, expand, ligozat_check
 from .modforms import (
     KNOWN_DECOMPOSITIONS,
+    MIN_DECOMPOSE_ORDER,
     Basis28,
     CoeffVector,
     decompose,
@@ -294,8 +295,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             + ", ".join(f"{p[0]},{p[1]}" for p in KNOWN_DECOMPOSITIONS)
         )
     n_max = args.n_max
-    if n_max < 16:
-        raise CliUsageError(f"--n-max must be >= 16, got {n_max}")
+    if n_max < MIN_DECOMPOSE_ORDER:
+        raise CliUsageError(f"--n-max must be >= {MIN_DECOMPOSE_ORDER}, got {n_max}")
 
     _, _, vec = _decompose(pair, n_max, n_max)
     payload = {
@@ -360,7 +361,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify" and args.order is None:
             args.order = _env_default(100)
         if args.command == "decompose" and args.n_max is None:
-            args.n_max = max(16, _env_default(16))
+            args.n_max = max(MIN_DECOMPOSE_ORDER, _env_default(MIN_DECOMPOSE_ORDER))
         return args.func(args)
     except CliUsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

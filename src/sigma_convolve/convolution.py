@@ -25,7 +25,7 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .arith import sigma_table
+from .arith import is_int, sigma_table
 from .errors import NonIntegralResult
 from .eta import CuspTable
 
@@ -156,8 +156,8 @@ def w_brute(a: int, b: int, n: int) -> int:
     mod a/g while l falls by b/g, so the sum is one dot product of two
     strided slices of the sigma table.
     """
-    if a < 1 or b < 1 or n < 1:
-        raise ValueError(f"w_brute needs a, b, n >= 1, got {a}, {b}, {n}")
+    if not (is_int(a) and is_int(b) and is_int(n)) or a < 1 or b < 1 or n < 1:
+        raise ValueError(f"w_brute needs integers a, b, n >= 1, got {a!r}, {b!r}, {n!r}")
     g = gcd(a, b)
     if n % g:
         return 0
@@ -183,8 +183,8 @@ def w_formula(pair: Pair, n: int) -> int:
 def w_reduce(a: int, b: int, n: int) -> int:
     """W for any pair: divide out gcd(a, b) (zero unless it divides n),
     then use the closed form when the reduced pair has one, else brute force."""
-    if a < 1 or b < 1 or n < 1:
-        raise ValueError(f"w_reduce needs a, b, n >= 1, got {a}, {b}, {n}")
+    if not (is_int(a) and is_int(b) and is_int(n)) or a < 1 or b < 1 or n < 1:
+        raise ValueError(f"w_reduce needs integers a, b, n >= 1, got {a!r}, {b!r}, {n!r}")
     g = gcd(a, b)
     if n % g != 0:
         return 0

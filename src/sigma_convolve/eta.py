@@ -6,10 +6,15 @@ divisors delta of a level N, where eta is the weight-1/2 product
 q^(1/24) * prod (1 - q^n). The fractional power of q never enters the
 series ring: ``expand`` reads the accumulated exponent, in units of 1/24,
 from the spec ("offset24"), rejects it unless it is a nonnegative multiple
-of 24 before any series work, and shifts the product of the integer-exponent
-Euler products by offset24/24. Each factor P(q^delta)^r_delta is a series in
-q^delta: it is raised (and inverted when r_delta < 0) at order // delta and
-then dilated, placing coefficient i at index i*delta.
+of 24 before any series work, and shifts the integer-exponent body
+F = prod P(q^delta)^r_delta, with P(q) = prod (1 - q^n), by offset24/24.
+
+The body comes from its logarithmic derivative. Since
+q d/dq log P(q) = -sum sigma(m) q^m, the series g = q F'/F has
+g_n = -sum_{delta | n} delta * r_delta * sigma(n/delta), and
+n f_n = sum_{k=1..n} g_k f_{n-k} with f_0 = 1. Every step is an exact
+integer division, so nothing is inverted and each sum is n f_n, only
+log2(n) bits wider than a coefficient. The body runs only to order - shift.
 
 A ``CuspTable`` expands a generator on its first read, so a table that
 reads two of the nine generators expands only those two.
@@ -20,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .arith import divisors, is_int, normalize
+from .arith import divisors, is_int, normalize, sigma_table
 from .errors import FractionalExponent, NegativeValuation, OutOfRange
 from .qseries import QSeries
 
@@ -114,23 +120,20 @@ def _check_order(order: object, least: int) -> None:
         raise ValueError(f"order must be an integer >= {least}, got {order!r}")
 
 
-def _euler_product(order: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n) via the pentagonal number expansion."""
-    out: list[int] = [0] * (order + 1)
-    out[0] = 1
-    m = 1
-    while True:
-        e1 = m * (3 * m - 1) // 2
-        e2 = m * (3 * m + 1) // 2
-        if e1 > order and e2 > order:
-            break
-        sign = -1 if m % 2 else 1
-        if e1 <= order:
-            out[e1] = sign
-        if e2 <= order:
-            out[e2] = sign
-        m += 1
-    return QSeries(out, order)
+def _body(exponents: Mapping[int, int], order: int) -> list[int]:
+    """Coefficients f_0..f_order of prod P(q^delta)^r_delta, by the
+    log-derivative recurrence n f_n = sum_{k=1..n} g_k f_{n-k}."""
+    s1 = sigma_table(1, order)
+    g = [0] * (order + 1)
+    for delta, r in exponents.items():
+        # g_n gains -delta * r_delta * sigma(n/delta) at every multiple n of delta
+        scale = -delta * r
+        g[delta::delta] = [x + scale * s for x, s in zip(g[delta::delta], s1[1:])]
+    g1 = g[1:]
+    f = [1]
+    for n in range(1, order + 1):
+        f.append(sum(map(mul, g1, reversed(f))) // n)
+    return f
 
 
 def expand(spec: EtaQuotientSpec, order: int) -> QSeries:
@@ -146,18 +149,9 @@ def expand(spec: EtaQuotientSpec, order: int) -> QSeries:
     shift = offset24 // 24
     if shift < 0:
         raise NegativeValuation(f"leading q-power {shift} is negative")
-    body: QSeries | None = None
-    for delta, r in spec.exponents.items():
-        # P(q)^r at order // delta, dilated to P(q^delta)^r at order
-        factor = _euler_product(order // delta) ** abs(r)
-        if r < 0:
-            factor = factor.inverse()
-        dilated = [0] * (order + 1)
-        dilated[::delta] = factor.coeffs
-        factor = QSeries(dilated, order)
-        body = factor if body is None else body * factor
-    assert body is not None
-    return QSeries([0] * min(shift, order + 1) + list(body.coeffs), order)
+    if shift > order:
+        return QSeries.zero(order)
+    return QSeries([0] * shift + _body(spec.exponents, order - shift), order)
 
 
 def ligozat_check(spec: EtaQuotientSpec) -> LigozatReport:

@@ -122,7 +122,8 @@ class QSeries:
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        # iterate the sparser support on the outside: eta bodies are mostly zeros
+        # iterate the sparser support on the outside: the squared combinations
+        # a L(q^a) - b L(q^b) and factor-by-factor test products have many zeros
         sup_a = [i for i in range(n + 1) if a[i]]
         sup_b = [i for i in range(n + 1) if b[i]]
         if len(sup_b) < len(sup_a):

@@ -19,6 +19,7 @@ from operator import mul
 from .arith import sigma, sigma_scaled
 from .convolution import evaluate, form_terms, sigma3_terms, w_formula
 from .eta import c_series
+from .modforms import sturm_bound
 
 
 def r4_jacobi(n: int) -> int:
@@ -115,18 +116,19 @@ SHIFT_IDENTITY_COEFFS: dict[int, Fraction] = {
     8: Fraction(-2), 9: Fraction(-2),
 }
 
-SHIFT_IDENTITY_LEVEL = 56  # the dilated forms live at level 56; Sturm bound 32
+SHIFT_IDENTITY_LEVEL = 56  # the dilated forms live at level 56
 
 
 def verify_cusp_shift_identity(order: int) -> bool:
-    """Check C_1(q^4) + 4 C_2(q^4) against its nine-generator expression,
-    both at the level-56 Sturm bound (32) and at the full given order."""
-    if order < 32:
-        raise ValueError(f"order must be >= 32, got {order}")
+    """Check C_1(q^4) + 4 C_2(q^4) against its nine-generator expression
+    at the given order, which must reach the level-56 Sturm bound."""
+    bound = sturm_bound(SHIFT_IDENTITY_LEVEL)
+    if order < bound:
+        raise ValueError(f"order must be >= {bound}, got {order}")
     lhs = c_series(1, order).substitute_power(4) + 4 * c_series(2, order).substitute_power(4)
     rhs = None
     for j, coef in SHIFT_IDENTITY_COEFFS.items():
         term = c_series(j, order) * coef
         rhs = term if rhs is None else rhs + term
     assert rhs is not None
-    return lhs.equal_up_to(rhs, 32) and lhs.equal_up_to(rhs, order)
+    return lhs.equal_up_to(rhs, order)

@@ -48,6 +48,17 @@ def test_w_brute_examples():
         w_brute(0, 1, 5)
 
 
+@pytest.mark.parametrize("fn, args", [
+    (w_reduce, (1, 28, 2.5)),   # returned 0
+    (w_brute, (1, 1, 2.5)),     # returned 0
+    (w_brute, (2, 4, 3.0)),     # an odd n the gcd 2 misses: returned 0
+    (w_brute, (True, 1, 2)),    # returned 1
+])
+def test_w_brute_and_w_reduce_reject_non_integers(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 def test_w_brute_matches_per_m_reference():
     for a in range(1, 13):
         for b in range(1, 13):

@@ -78,23 +78,61 @@ def test_expand_against_naive_product():
 
 
 def test_expand_checks_q_power_before_series_work(monkeypatch):
-    def no_series(order):
+    def no_series(exponents, order):
         raise AssertionError("series built before the q-power check")
 
-    monkeypatch.setattr(eta, "_euler_product", no_series)
+    monkeypatch.setattr(eta, "_body", no_series)
     with pytest.raises(FractionalExponent):
         expand(EtaQuotientSpec(1, {1: 1}), 10**7)
     with pytest.raises(NegativeValuation):
         expand(EtaQuotientSpec(1, {1: -24}), 10**7)
 
 
+def test_expand_past_its_shift_does_no_series_work(monkeypatch):
+    def no_series(exponents, order):
+        raise AssertionError("body built for a series that is all zeros")
+
+    monkeypatch.setattr(eta, "_body", no_series)
+    # q^7 * P(q^28)^6 vanishes through order 5
+    assert expand(EtaQuotientSpec(28, {28: 6}), 5) == QSeries.zero(5)
+
+
+def test_expand_builds_the_body_to_order_minus_shift(monkeypatch):
+    calls = []
+    body = eta._body
+
+    def spy(exponents, order):
+        out = body(exponents, order)
+        calls.append((order, len(out)))
+        return out
+
+    monkeypatch.setattr(eta, "_body", spy)
+    expand(cusp_spec(9), 20)                    # q^9 times the body
+    expand(EtaQuotientSpec(28, {28: 6}), 7)     # shift == order
+    assert calls == [(11, 12), (0, 1)]
+
+
+def pentagonal_product(order: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n) via the pentagonal number expansion."""
+    out = [0] * (order + 1)
+    out[0] = 1
+    m = 1
+    while m * (3 * m - 1) // 2 <= order:
+        sign = -1 if m % 2 else 1
+        for e in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+            if e <= order:
+                out[e] = sign
+        m += 1
+    return QSeries(out, order)
+
+
 def full_order_expand(spec: EtaQuotientSpec, order: int) -> QSeries:
-    """Test-local reference: the earlier kernel, which raised and inverted
-    every factor P(q^delta)^|r| at the full order."""
+    """Test-local reference: an earlier kernel, which raised and inverted
+    every factor P(q^delta)^|r| at the full order and multiplied them."""
     body = QSeries.one(order)
     for delta, r in spec.exponents.items():
         # the pentagonal expansion of P(q^delta) at the full order
-        factor = eta._euler_product(order).substitute_power(delta) ** abs(r)
+        factor = pentagonal_product(order).substitute_power(delta) ** abs(r)
         if r < 0:
             factor = factor.inverse()
         body = body * factor
@@ -137,10 +175,10 @@ def test_generators_match_full_order_reference_at_1000():
 def test_expand_and_c_series_reject_bad_orders(monkeypatch, order):
     c_series(1, 5)  # a warm cache must not answer a bad order either
 
-    def no_series(n):
+    def no_series(exponents, n):
         raise AssertionError("series built for a bad order")
 
-    monkeypatch.setattr(eta, "_euler_product", no_series)
+    monkeypatch.setattr(eta, "_body", no_series)
     with pytest.raises(ValueError):
         expand(cusp_spec(1), order)
     with pytest.raises(ValueError):
