@@ -4,9 +4,10 @@ Each entry pins the sha256 of ``cli.main`` stdout for one invocation. The
 digests of the closed-form tables were captured before the closed forms
 moved onto the shared term evaluator, those of the brute-force oracle
 tables (``--mode brute``, ``--mode enumerate``) before the oracles moved
-onto sigma tables, and those of ``eta`` and the long ``delta`` table before
-each eta factor was expanded at its own dilated order. So any change to a
-single printed byte of a table, decomposition or verify report fails here.
+onto sigma tables, those of ``eta`` and the long ``delta`` table before
+each eta factor was expanded at its own dilated order, and those of the
+long closed-form tables before the evaluator summed in integers. So any
+change to a single printed byte of a table, decomposition or verify report fails here.
 They are an equality contract: when output changes on purpose, re-capture
 them and say why in the change log.
 """
@@ -68,6 +69,12 @@ GOLDEN: list[tuple[tuple[str, ...], str]] = [
      "5ebcdaca22a0f834916fa43a176706855f0c0c514b83c8dca53c46f8c4199425"),
     (("delta", "--form", "4,14,2", "--terms", "1500"),
      "6060c6fc2f7d062aa59d251d52c74e60bb462415c7f65be2e3fcdc1053c49005"),
+    # closed forms alone at the orders of the benchmark's formula tables;
+    # pinned before the evaluator moved from rationals to integers
+    (("wab", "--a", "1", "--b", "28", "--n-max", "2000", "--mode", "formula"),
+     "94fe3b03822fba7ca3d74a559bf72454b45440236ee2a5b714374b201a7c73b5"),
+    (("r7", "--n-max", "1500", "--mode", "closed"),
+     "29dd615e2788b44ca4b21f9a19164fd1d436e579414a132fbc7548221cfdb09e"),
 ]
 
 
