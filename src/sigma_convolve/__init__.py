@@ -11,6 +11,7 @@ from .convolution import (
     DELTA_FORMS,
     FORMULAS,
     Term,
+    TermTable,
     evaluate,
     w_brute,
     w_formula,
@@ -90,6 +91,7 @@ __all__ = [
     "OutOfRange",
     "QSeries",
     "Term",
+    "TermTable",
     "UnderdeterminedSystem",
     "ZeroConstantTerm",
     "c_series",

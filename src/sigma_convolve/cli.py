@@ -176,7 +176,8 @@ def _check_vs_brute(formula: Callable[[int], int], pair: tuple[int, int], order:
 _IDENTITY_SUITE: list[tuple[str, int | None, Callable[[int], bool]]] = [
     *((f"decomposition ({a},{b})", sturm_bound(28), partial(_check_decomposition, (a, b)))
       for a, b in KNOWN_DECOMPOSITIONS),
-    ("cusp shift (level 56)", sturm_bound(56),
+    (f"cusp shift (level {representations.SHIFT_IDENTITY_LEVEL})",
+     sturm_bound(representations.SHIFT_IDENTITY_LEVEL),
      lambda o: representations.verify_cusp_shift_identity(o)),
     ("cube root vs eta combination", sturm_bound(7),
      lambda o: deltaforms.delta_4_7_cuberoot(o) == deltaforms.delta_4_7_eta(o)),

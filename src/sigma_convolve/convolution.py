@@ -8,12 +8,18 @@ that table, which the tests check against trial division.
 
 Each closed form (the five W_{a,b} formulas here, the level-7 and level-14
 formulas in ``deltaforms``, and both R_7 forms in ``representations``) is a
-tuple of ``Term``s: a rational combination of sigma_3(n/d),
-(const + slope*n)*sigma(n/d) and cusp coefficients c_j(n/d), each zero
-unless d divides n. The coefficient tables are data, one literal per
-published coefficient, so they can be audited line by line. Terms on the
-lower-level forms of ``DELTA_FORMS`` are expanded into generator terms when
-the table is built. ``evaluate`` reads every c_j from one module-wide cusp
+``TermTable``, a tuple of ``Term``s: a rational combination of
+sigma_3(n/d), (const + slope*n)*sigma(n/d) and cusp coefficients c_j(n/d),
+each zero unless d divides n. The coefficient tables are data, one literal
+per published coefficient, so they can be audited line by line. Terms on
+the lower-level forms of ``DELTA_FORMS`` are expanded into generator terms
+when the table is built.
+
+A ``TermTable`` also carries its integer form, made once when the table is
+built: L, the lcm of every coefficient's denominator, and the coefficients
+times L, grouped by d. ``evaluate`` sums those integers at n and divides
+once by L, so no rational arithmetic runs per query; a nonzero remainder
+means a corrupted table. It reads every c_j from one module-wide cusp
 table, ``shared_cusp_table``, which grows by doubling as larger n arrive;
 a caller about to tabulate up to some n can size it once beforehand.
 """
@@ -21,9 +27,9 @@ a caller about to tabulate up to some n can size it once beforehand.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .arith import is_int, sigma_table
 from .errors import NonIntegralResult
@@ -41,6 +47,53 @@ class Term(NamedTuple):
     d: int
     const: Fraction
     slope: Fraction = Fraction(0)
+
+
+# (d, sigma3 coef, sigma1 const, sigma1 slope, ((j, form coef), ...)),
+# every coefficient an int already multiplied by the table's denominator
+Row = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
+
+
+class TermTable(tuple):
+    """A closed form's Terms, plus their integer form: ``denominator`` is L,
+    the lcm of every const and slope denominator, and ``rows`` holds the
+    coefficients times L, summed by (kind, d, form) into one Row per d.
+
+    It is still the tuple of Terms it was built from, so slicing,
+    concatenation and iteration see Terms; a plain tuple built that way is
+    turned into a TermTable by ``evaluate`` on each call.
+    """
+
+    denominator: int
+    rows: tuple[Row, ...]
+
+    def __new__(cls, terms: Iterable[Term] = ()) -> "TermTable":
+        self = super().__new__(cls, terms)
+        den = lcm(*(c.denominator for t in self for c in (t.const, t.slope)))
+
+        def scaled(c: Fraction) -> int:
+            return c.numerator * (den // c.denominator)
+
+        # d -> [sigma3 coef, sigma1 const, sigma1 slope, {form: coef}]
+        by_d: dict[int, list] = {}
+        for kind, form, d, const, slope in self:
+            if not is_int(d) or d < 1:
+                raise ValueError(f"term divisor must be an integer >= 1, got {d!r}")
+            row = by_d.setdefault(d, [0, 0, 0, {}])
+            c = scaled(const)
+            if kind == "sigma3":
+                row[0] += c
+            elif kind == "sigma1":
+                row[1] += c
+                row[2] += scaled(slope)
+            elif kind == "form":
+                row[3][form] = row[3].get(form, 0) + c
+            else:
+                raise ValueError(f"unknown term kind {kind!r}")
+        self.denominator = den
+        self.rows = tuple((d, c3, c1, s1, tuple(forms.items()))
+                          for d, (c3, c1, s1, forms) in by_d.items())
+        return self
 
 
 # The level-7 and level-14 forms as combinations of the generators C_j.
@@ -73,38 +126,38 @@ def form_terms(coefs: dict[int | str, str], d: int = 1) -> tuple[Term, ...]:
     return tuple(out)
 
 
-FORMULAS: dict[Pair, tuple[Term, ...]] = {
-    (1, 28): (
+FORMULAS: dict[Pair, TermTable] = {
+    (1, 28): TermTable((
         *sigma3_terms({1: "1/2400", 2: "1/800", 4: "1/150",
                        7: "49/2400", 14: "49/800", 28: "49/150"}),
         *sigma1_terms({1: ("1/24", "-1/112"), 28: ("1/24", "-1/4")}),
         *form_terms({1: "1121/67200", 2: "2389/22400", 3: "-1/128",
                      4: "-3349/67200", 5: "-101/200", 6: "-17/40",
                      7: "13/200", 8: "-433/150", 9: "-254/75"}),
-    ),
-    (4, 7): (
+    )),
+    (4, 7): TermTable((
         *sigma3_terms({1: "1/2400", 2: "1/800", 4: "1/150",
                        7: "49/2400", 14: "49/800", 28: "49/150"}),
         *sigma1_terms({4: ("1/24", "-1/28"), 7: ("1/24", "-1/16")}),
         *form_terms({1: "697/470400", 2: "139/22400", 3: "-9/896",
                      4: "-893/470400", 5: "43/1400", 6: "-7/40",
                      7: "241/1400", 8: "-881/1050", 9: "-178/525"}),
-    ),
-    (1, 14): (
+    )),
+    (1, 14): TermTable((
         *sigma3_terms({1: "1/600", 2: "1/150", 7: "49/600", 14: "49/150"}),
         *sigma1_terms({1: ("1/24", "-1/56"), 14: ("1/24", "-1/4")}),
         *form_terms({2: "2/175", 3: "-1/600", 4: "-107/4200"}),
-    ),
-    (2, 7): (
+    )),
+    (2, 7): TermTable((
         *sigma3_terms({1: "1/600", 2: "1/150", 7: "49/600", 14: "49/150"}),
         *sigma1_terms({2: ("1/24", "-1/28"), 7: ("1/24", "-1/8")}),
         *form_terms({2: "2/175", 3: "-107/4200", 4: "-1/600"}),
-    ),
-    (1, 7): (
+    )),
+    (1, 7): TermTable((
         *sigma3_terms({1: "1/120", 7: "49/120"}),
         *sigma1_terms({1: ("1/24", "-1/28"), 7: ("1/24", "-1/4")}),
         *form_terms({1: "-1/70", 2: "-2/35"}),
-    ),
+    )),
 }
 
 CLOSED_FORM_PAIRS: tuple[Pair, ...] = tuple(FORMULAS)
@@ -122,29 +175,30 @@ def shared_cusp_table(min_order: int) -> CuspTable:
 
 
 def evaluate(terms: tuple[Term, ...], n: int, label: str) -> int:
-    """A closed form at n, verbatim in exact rationals.
+    """A closed form at n, summed in integers over the table's denominator.
 
     Form coefficients come from the shared cusp table, grown to cover n
-    when needed. A non-integer total means a corrupted coefficient table
-    and raises NonIntegralResult.
+    when needed. A nonzero remainder after the one division means a
+    corrupted coefficient table and raises NonIntegralResult.
     """
-    if n < 1:
-        raise ValueError(f"{label} needs n >= 1, got {n}")
+    if not is_int(n) or n < 1:
+        raise ValueError(f"{label} needs an integer n >= 1, got {n!r}")
+    if not isinstance(terms, TermTable):
+        terms = TermTable(terms)
     table = shared_cusp_table(n)
     s1, s3 = sigma_table(1, n), sigma_table(3, n)
-    total = Fraction(0)
-    for kind, form, d, const, slope in terms:
+    total = 0
+    for d, c3, c1, k1, forms in terms.rows:
         if n % d:
             continue
-        if kind == "form":
-            total += const * table.c(form, n // d)
-        elif kind == "sigma3":
-            total += const * s3[n // d]
-        else:
-            total += (const + slope * n) * s1[n // d]
-    if total.denominator != 1:
-        raise NonIntegralResult(f"{label}({n}) evaluated to {total}")
-    return total.numerator
+        m = n // d
+        total += c3 * s3[m] + (c1 + k1 * n) * s1[m]
+        for j, c in forms:
+            total += c * table.c(j, m)
+    value, rest = divmod(total, terms.denominator)
+    if rest:
+        raise NonIntegralResult(f"{label}({n}) evaluated to {Fraction(total, terms.denominator)}")
+    return value
 
 
 def w_brute(a: int, b: int, n: int) -> int:

@@ -12,7 +12,14 @@ identifications without any external coefficient tables.
 
 from __future__ import annotations
 
-from .convolution import DELTA_FORMS, evaluate, form_terms, sigma1_terms, sigma3_terms
+from .convolution import (
+    DELTA_FORMS,
+    TermTable,
+    evaluate,
+    form_terms,
+    sigma1_terms,
+    sigma3_terms,
+)
 from .eta import CuspTable, EtaQuotientSpec, c_series, expand
 from .qseries import QSeries
 
@@ -27,10 +34,11 @@ CUBE_BRACKET_TERMS: tuple[tuple[int, dict[int, int]], ...] = (
 
 def cube_bracket(order: int) -> QSeries:
     """The weighted sum of the three eta products; leading term q^3."""
-    acc = QSeries.zero(order)
-    for weight, exps in CUBE_BRACKET_TERMS:
-        acc = acc + weight * expand(EtaQuotientSpec(CUBE_BRACKET_LEVEL, exps), order)
-    return acc
+    return QSeries.linear_combination(
+        ((expand(EtaQuotientSpec(CUBE_BRACKET_LEVEL, exps), order), weight)
+         for weight, exps in CUBE_BRACKET_TERMS),
+        order,
+    )
 
 
 def delta_4_7_cuberoot(order: int) -> QSeries:
@@ -49,10 +57,9 @@ def delta_series(form: str, order: int) -> QSeries:
     """The named form of DELTA_FORMS as its generator combination."""
     if form not in DELTA_FORMS:
         raise ValueError(f"unknown form {form!r}, expected one of {', '.join(DELTA_FORMS)}")
-    acc = QSeries.zero(order)
-    for j, coef in DELTA_FORMS[form].items():
-        acc = acc + coef * c_series(j, order)
-    return acc
+    return QSeries.linear_combination(
+        ((c_series(j, order), coef) for j, coef in DELTA_FORMS[form].items()), order
+    )
 
 
 def delta_4_7_eta(order: int) -> QSeries:
@@ -72,18 +79,18 @@ def delta_4_14(which: int, order: int) -> QSeries:
 TauTables = CuspTable
 
 # W_{1,14}: the t47(n/2) term of the published formula is "4,7" at d = 2
-ROYER_1_14 = (
+ROYER_1_14 = TermTable((
     *sigma3_terms({1: "1/600", 2: "1/150", 7: "49/600", 14: "49/150"}),
     *sigma1_terms({1: ("1/24", "-1/56"), 14: ("1/24", "-1/4")}),
     *form_terms({"4,7": "-3/350", "4,14,1": "-1/84", "4,14,2": "-1/200"}),
     *form_terms({"4,7": "-6/175"}, d=2),
-)
+))
 
-LEMIRE_1_7 = (
+LEMIRE_1_7 = TermTable((
     *sigma3_terms({1: "1/120", 7: "49/120"}),
     *sigma1_terms({1: ("1/24", "-1/28"), 7: ("1/24", "-1/4")}),
     *form_terms({"4,7": "-1/70"}),
-)
+))
 
 
 def w_1_14_royer(n: int) -> int:

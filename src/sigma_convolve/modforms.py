@@ -161,11 +161,7 @@ def decompose(target: QSeries, basis: Basis28, n_max: int) -> CoeffVector:
 
 def reconstruct(vec: CoeffVector, basis: Basis28) -> QSeries:
     """The series with the given coordinates, at the basis order."""
-    acc = QSeries.zero(basis.order)
-    for part, coef in zip(basis.columns(), vec.entries()):
-        if coef:
-            acc = acc + part * coef
-    return acc
+    return QSeries.linear_combination(zip(basis.columns(), vec.entries()), basis.order)
 
 
 def verify_identity(lhs: QSeries, rhs: QSeries, level: int) -> bool:

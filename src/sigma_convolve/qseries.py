@@ -9,6 +9,7 @@ Fraction (ints kept as ints so integer series multiply at native speed).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .arith import exact_div, normalize
@@ -50,6 +51,26 @@ class QSeries:
     @classmethod
     def one(cls, order: int) -> "QSeries":
         return cls([1], order)
+
+    @classmethod
+    def linear_combination(
+        cls, terms: Iterable[tuple["QSeries", Coeff]], order: int
+    ) -> "QSeries":
+        """Sum of coef * series over (series, coef) pairs, truncated to the
+        least of ``order`` and the series' orders.
+
+        The coefficients are scaled to integers by their common denominator
+        L, the integer multiples of each series are summed, and each sum is
+        divided by L once.
+        """
+        scaled = [(s, Fraction(normalize(c))) for s, c in terms if c]
+        den = lcm(*(c.denominator for _, c in scaled))
+        n = min([order, *(s.order for s, _ in scaled)])
+        acc: list[Coeff] = [0] * (n + 1)
+        for s, c in scaled:
+            k = c.numerator * (den // c.denominator)
+            acc = [a + k * b for a, b in zip(acc, s._coeffs)]
+        return cls([exact_div(a, den) for a in acc], n)
 
     @classmethod
     def monomial(cls, n: int, order: int, coeff: Coeff = 1) -> "QSeries":

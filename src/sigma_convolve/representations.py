@@ -17,9 +17,10 @@ from math import isqrt
 from operator import mul
 
 from .arith import sigma, sigma_scaled
-from .convolution import evaluate, form_terms, sigma3_terms, w_formula
+from .convolution import TermTable, evaluate, form_terms, sigma3_terms, w_formula
 from .eta import c_series
 from .modforms import sturm_bound
+from .qseries import QSeries
 
 
 def r4_jacobi(n: int) -> int:
@@ -78,24 +79,24 @@ def r7_via_w(n: int) -> int:
     return total
 
 
-R7_CLOSED = (
+R7_CLOSED = TermTable((
     *sigma3_terms({1: "8/25", 2: "-16/25", 4: "128/25",
                    7: "392/25", 14: "-784/25", 28: "6272/25"}),
     *form_terms({1: "-928/175", 2: "-768/25", 3: "32/5",
                  4: "2272/175", 5: "2304/25", 6: "768/5",
                  7: "-1152/25", 8: "24576/25", 9: "24576/25"}),
-)
+))
 
 # pre-simplification variant: the same sigma_3 terms, different cusp
 # coefficients, and a dilated (C_1 + 4 C_2)(q^4) tail that the final form
 # absorbs
-R7_CLOSED_RAW = (
+R7_CLOSED_RAW = TermTable((
     *(t for t in R7_CLOSED if t.kind == "sigma3"),
     *form_terms({1: "-6816/1225", 2: "-5696/175", 3: "32/7",
                  4: "16224/1225", 5: "21248/175", 6: "768/5",
                  7: "-10624/175", 8: "166912/175", 9: "166912/175"}),
     *form_terms({"4,7": "-512/35"}, d=4),
-)
+))
 
 
 def r7_closed(n: int) -> int:
@@ -126,9 +127,7 @@ def verify_cusp_shift_identity(order: int) -> bool:
     if order < bound:
         raise ValueError(f"order must be >= {bound}, got {order}")
     lhs = c_series(1, order).substitute_power(4) + 4 * c_series(2, order).substitute_power(4)
-    rhs = None
-    for j, coef in SHIFT_IDENTITY_COEFFS.items():
-        term = c_series(j, order) * coef
-        rhs = term if rhs is None else rhs + term
-    assert rhs is not None
+    rhs = QSeries.linear_combination(
+        ((c_series(j, order), coef) for j, coef in SHIFT_IDENTITY_COEFFS.items()), order
+    )
     return lhs.equal_up_to(rhs, order)

@@ -1,19 +1,27 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sigma_convolve.convolution as convolution
-from sigma_convolve.arith import sigma, sigma_scaled
+from sigma_convolve.arith import sigma, sigma_scaled, sigma_table
 from sigma_convolve.convolution import (
     CLOSED_FORM_PAIRS,
     FORMULAS,
+    Term,
+    TermTable,
+    evaluate,
     shared_cusp_table,
     w_brute,
     w_formula,
     w_reduce,
 )
+from sigma_convolve.deltaforms import LEMIRE_1_7, ROYER_1_14, w_1_14_royer
 from sigma_convolve.eisenstein import l_combination
 from sigma_convolve.errors import NonIntegralResult
+from sigma_convolve.representations import R7_CLOSED, R7_CLOSED_RAW, r7_closed
 
 REFERENCE_N = 200
 # sigma(0..REFERENCE_N) by summing divisors one by one, shared with nothing
@@ -156,3 +164,132 @@ def test_w_formula_uses_shared_table_by_default(monkeypatch):
     monkeypatch.setattr(convolution, "_shared_table", None)
     assert w_formula((1, 7), 8) == 1
     assert convolution._shared_table is not None
+
+
+# the nine published closed forms, by the label their callers pass
+PUBLISHED = {
+    **{f"W{pair}": terms for pair, terms in FORMULAS.items()},
+    "W(1,14)": ROYER_1_14,
+    "W(1,7)": LEMIRE_1_7,
+    "R7": R7_CLOSED,
+    "R7_raw": R7_CLOSED_RAW,
+}
+
+
+def fraction_evaluate(terms: tuple[Term, ...], n: int, label: str) -> int:
+    """The earlier evaluate, kept as a differential reference: every term
+    summed at n in exact rationals."""
+    table = shared_cusp_table(n)
+    s1, s3 = sigma_table(1, n), sigma_table(3, n)
+    total = Fraction(0)
+    for kind, form, d, const, slope in terms:
+        if n % d:
+            continue
+        if kind == "form":
+            total += const * table.c(form, n // d)
+        elif kind == "sigma3":
+            total += const * s3[n // d]
+        else:
+            total += (const + slope * n) * s1[n // d]
+    if total.denominator != 1:
+        raise NonIntegralResult(f"{label}({n}) evaluated to {total}")
+    return total.numerator
+
+
+def test_published_tables_are_term_tables():
+    assert len(PUBLISHED) == 9
+    for label, terms in PUBLISHED.items():
+        assert isinstance(terms, TermTable), label
+        assert all(isinstance(t, Term) for t in terms), label
+
+
+@pytest.mark.parametrize("label", sorted(PUBLISHED))
+def test_evaluate_matches_fraction_reference_to_2000(label):
+    terms = PUBLISHED[label]
+    shared_cusp_table(2000)
+    for n in range(1, 2001):
+        assert evaluate(terms, n, label) == fraction_evaluate(terms, n, label), (label, n)
+
+
+def test_term_table_integer_form():
+    terms = (
+        Term("sigma3", 0, 1, Fraction(1, 6)),
+        Term("sigma1", 0, 1, Fraction(1, 4), Fraction(-1, 2)),
+        Term("form", 2, 7, Fraction(2, 3)),
+        Term("sigma3", 0, 7, Fraction(0)),
+        Term("form", 2, 7, Fraction(-1, 3)),
+        Term("form", 5, 7, Fraction(3)),
+    )
+    table = TermTable(terms)
+    assert table == terms and table[2].kind == "form"
+    assert table.denominator == 12
+    # one row per d; like terms summed, zero sums kept
+    assert table.rows == ((1, 2, 3, -6, ()), (7, 0, 0, 0, ((2, 4), (5, 36))))
+    assert TermTable().denominator == 1 and TermTable().rows == ()
+
+
+@pytest.mark.parametrize("term", [
+    Term("sigma2", 0, 1, Fraction(1)),     # unknown kind
+    Term("sigma3", 0, 0, Fraction(1)),     # d < 1
+    Term("form", 1, 2.0, Fraction(1)),     # non-integer d
+    Term("form", 1, True, Fraction(1)),    # bool d
+])
+def test_term_table_rejects_bad_terms(term):
+    with pytest.raises(ValueError):
+        TermTable((term,))
+
+
+@pytest.mark.parametrize("n", [100.5, 2.0, True, False, 0, -3, "7", None])
+def test_evaluate_rejects_bad_n_before_table_work(monkeypatch, n):
+    def no_table_work(*args):
+        raise AssertionError("table work before the n check")
+
+    monkeypatch.setattr(convolution, "shared_cusp_table", no_table_work)
+    monkeypatch.setattr(convolution, "sigma_table", no_table_work)
+    with pytest.raises(ValueError, match=r"^W\(1,7\) needs an integer n >= 1"):
+        evaluate(FORMULAS[(1, 7)], n, "W(1,7)")
+    for fn, label in ((w_1_14_royer, "W(1,14)"), (r7_closed, "R7")):
+        with pytest.raises(ValueError, match="^" + re.escape(label)):
+            fn(n)
+
+
+DIVISORS_28 = (1, 2, 4, 7, 14, 28)
+
+
+@st.composite
+def term_tables(draw):
+    """A random table: kinds sigma3 / sigma1 / form, d | 28, and rational
+    coefficients, all integral in about one table of four; sometimes added
+    to a published table."""
+    dens = (1,) if draw(st.integers(0, 3)) == 0 else (1, 2, 3, 7, 24, 25, 175, 4200)
+    coef = st.builds(Fraction, st.integers(-60, 60), st.sampled_from(dens))
+    d = st.sampled_from(DIVISORS_28)
+    term = st.one_of(
+        st.builds(lambda d, c: Term("sigma3", 0, d, c), d, coef),
+        st.builds(lambda d, c, s: Term("sigma1", 0, d, c, s), d, coef, coef),
+        st.builds(lambda j, d, c: Term("form", j, d, c), st.integers(1, 9), d, coef),
+    )
+    base = draw(st.sampled_from((None, *sorted(PUBLISHED))))
+    extra = tuple(draw(st.lists(term, max_size=10)))
+    return extra if base is None else PUBLISHED[base] + extra
+
+
+def _outcome(fn, terms, n):
+    try:
+        return fn(terms, n, "T")
+    except NonIntegralResult as exc:
+        return ("NonIntegralResult", str(exc))
+
+
+@settings(max_examples=120, deadline=None)
+@given(term_tables())
+@example(FORMULAS[(1, 7)] + (Term("sigma3", 0, 1, Fraction(1, 121)),))
+@example(R7_CLOSED + (Term("form", 3, 28, Fraction(1, 5)),))
+def test_evaluate_matches_fraction_reference_on_random_tables(terms):
+    table = TermTable(terms)
+    for n in range(1, 90):
+        expected = _outcome(fraction_evaluate, terms, n)
+        # odd n evaluate the plain tuple, which evaluate converts itself
+        assert _outcome(evaluate, table if n % 2 == 0 else terms, n) == expected, n
+        if isinstance(expected, tuple):
+            break

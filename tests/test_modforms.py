@@ -106,6 +106,25 @@ def test_decompose_reconstruct_round_trip(basis300):
         assert decompose(series, basis300, 40) == vec
 
 
+def test_reconstruct_matches_fraction_sum(basis300):
+    # the earlier reconstruct: each nonzero coordinate times its basis
+    # series, added in rationals
+    rng = random.Random(496)
+    vecs = list(KNOWN_DECOMPOSITIONS.values()) + [
+        CoeffVector.make(
+            {t: Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for t in DILATIONS},
+            [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(9)],
+        )
+        for _ in range(3)
+    ]
+    for vec in vecs:
+        expected = QSeries.zero(basis300.order)
+        for part, coef in zip(basis300.columns(), vec.entries()):
+            if coef:
+                expected = expected + part * coef
+        assert reconstruct(vec, basis300) == expected, vec
+
+
 def test_decompose_preconditions(basis300):
     target = m_series(300)
     with pytest.raises(ValueError):

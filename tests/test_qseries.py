@@ -207,6 +207,46 @@ def test_truncation_consistency():
     assert a.inverse().truncate(12) == a.truncate(12).inverse()
 
 
+def fraction_combination(terms, order):
+    """Sum of coef * series by QSeries scalar products and additions, in
+    rationals: the reference for linear_combination."""
+    acc = QSeries.zero(order)
+    for series, coef in terms:
+        if coef:
+            acc = acc + series * coef
+    return acc
+
+
+def test_linear_combination_matches_fraction_sum():
+    rng = random.Random(2718)
+    for _ in range(30):
+        order = rng.randint(0, 25)
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            series = random_series(rng, rng.randint(0, 30))
+            if rng.random() < 0.5:  # integer series, as every basis series is
+                series = QSeries([rng.randint(-99, 99) for _ in range(series.order + 1)])
+            coef = rng.choice([0, rng.randint(-9, 9),
+                               Fraction(rng.randint(-99, 99), rng.randint(1, 60))])
+            terms.append((series, coef))
+        got = QSeries.linear_combination(terms, order)
+        assert got == fraction_combination(terms, order)
+        assert all(type(c) in (int, Fraction) for c in got.coeffs)
+        assert all(c.denominator > 1 for c in got.coeffs if isinstance(c, Fraction))
+
+
+def test_linear_combination_edge_cases():
+    a, b = QSeries([1, 2, 3]), QSeries([0, 3, 0, 6], 5)
+    # exact cancellation leaves ints; the shorter series truncates
+    assert QSeries.linear_combination([(a, Fraction(1, 3)), (b, Fraction(-2, 9))], 9).coeffs == (
+        Fraction(1, 3), 0, 1)
+    # zero coefficients are skipped, so they do not truncate
+    assert QSeries.linear_combination([(b, 2), (a, 0)], 9) == QSeries([0, 6, 0, 12], 5)
+    assert QSeries.linear_combination([], 4) == QSeries.zero(4)
+    with pytest.raises(TypeError):
+        QSeries.linear_combination([(a, 0.5)], 2)
+
+
 def test_repr_is_compact():
     text = repr(QSeries([1, -24, 252], 2))
     assert "q^1" in text and "order=2" in text

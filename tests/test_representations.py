@@ -114,6 +114,16 @@ def test_cusp_shift_identity():
         verify_cusp_shift_identity(31)
 
 
+def test_cusp_shift_identity_fails_on_a_wrong_coefficient(monkeypatch):
+    import sigma_convolve.representations as reps
+    from fractions import Fraction
+
+    coeffs = dict(reps.SHIFT_IDENTITY_COEFFS)
+    coeffs[3] += Fraction(1, 1000)
+    monkeypatch.setattr(reps, "SHIFT_IDENTITY_COEFFS", coeffs)
+    assert not verify_cusp_shift_identity(32)
+
+
 def test_r7_closed_raw_rejects_corrupt_table(monkeypatch):
     import sigma_convolve.representations as reps
     from fractions import Fraction
