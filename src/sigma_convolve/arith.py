@@ -42,8 +42,7 @@ def exact_div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
 
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of n >= 1, by trial division up to sqrt(n)."""
-    if n < 1:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
+    check_int("divisors", "n", n, 1)
     small, large = [], []
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
@@ -55,8 +54,7 @@ def divisors(n: int) -> list[int]:
 
 def prime_factors(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, by trial division."""
-    if n < 1:
-        raise ValueError(f"prime_factors requires n >= 1, got {n}")
+    check_int("prime_factors", "n", n, 1)
     out: dict[int, int] = {}
     p = 2
     while p * p <= n:
@@ -74,11 +72,21 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_sigma_args(name: str, k: object, n: object) -> None:
-    if not is_int(k) or k < 1:
-        raise ValueError(f"{name} requires an integer k >= 1, got {k!r}")
-    if not is_int(n):
-        raise ValueError(f"{name} requires an integer n, got {n!r}")
+def check_int(who: str, name: str, value: object, least: int | None = None,
+              *more: object) -> None:
+    """The one argument rule: value is an int, not a bool, and at least
+    ``least`` unless that is None. Otherwise raise ValueError naming the
+    caller ``who`` and the argument ``name``. ``more`` repeats name, value,
+    least for further arguments, so one call checks them all."""
+    i = 0
+    while True:
+        if not (value.__class__ is int or is_int(value)) or (least is not None and value < least):
+            bound = "" if least is None else f" >= {least}"
+            raise ValueError(f"{who} needs an integer {name}{bound}, got {value!r}")
+        if i == len(more):
+            return
+        name, value, least = more[i], more[i + 1], more[i + 2]
+        i += 3
 
 
 # k -> (sigma_k(0), ..., sigma_k(m)), sigma_k(0) = 0
@@ -92,7 +100,7 @@ def sigma_table(k: int, n: int) -> tuple[int, ...]:
     sieve to m = max(n, twice its old m, 64). The tuple is never mutated,
     so callers may keep and slice it.
     """
-    _check_sigma_args("sigma_table", k, n)
+    check_int("sigma_table", "k", k, 1, "n", n, 0)
     table = _sigma_tables.get(k, ())
     if n >= len(table):
         top = max(n, 2 * (len(table) - 1), 64)
@@ -111,7 +119,7 @@ def sigma(k: int, n: int) -> int:
     Reads the shared table when it covers n, else uses trial division; it
     never grows the table.
     """
-    _check_sigma_args("sigma", k, n)
+    check_int("sigma", "k", k, 1, "n", n, None)
     if n <= 0:
         return 0
     table = _sigma_tables.get(k, ())
@@ -122,6 +130,5 @@ def sigma(k: int, n: int) -> int:
 
 def sigma_scaled(k: int, n: int, d: int) -> int:
     """sigma(k, n/d) when d divides n, else 0 (the sigma(n/d) idiom)."""
-    if d < 1:
-        raise ValueError(f"sigma_scaled requires d >= 1, got {d}")
+    check_int("sigma_scaled", "k", k, 1, "n", n, None, "d", d, 1)
     return sigma(k, n // d) if n % d == 0 else 0

@@ -26,7 +26,6 @@ import os
 import sys
 from fractions import Fraction
 from functools import partial
-from math import gcd
 from typing import Callable, Sequence
 
 from . import convolution, deltaforms, representations
@@ -72,9 +71,7 @@ def _env_default(fallback: int) -> int:
         value = int(raw)
     except ValueError:
         raise CliUsageError(f"{ORDER_ENV_VAR} must be an integer, got {raw!r}")
-    if value < 1:
-        raise CliUsageError(f"{ORDER_ENV_VAR} must be >= 1, got {value}")
-    return value
+    return _require_at_least(value, ORDER_ENV_VAR, 1)
 
 
 def _json_scalar(v: object) -> object:
@@ -110,9 +107,9 @@ def _tabulate(fmt: str, n_max: int, columns: dict[str, Callable[[int], object]])
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def _require_positive(value: int, flag: str) -> int:
-    if value < 1:
-        raise CliUsageError(f"{flag} must be >= 1, got {value}")
+def _require_at_least(value: int, flag: str, least: int) -> int:
+    if value < least:
+        raise CliUsageError(f"{flag} must be >= {least}, got {value}")
     return value
 
 
@@ -120,14 +117,13 @@ def _require_positive(value: int, flag: str) -> int:
 
 
 def cmd_wab(args: argparse.Namespace) -> int:
-    a = _require_positive(args.a, "--a")
-    b = _require_positive(args.b, "--b")
-    n_max = _require_positive(args.n_max, "--n-max")
+    a = _require_at_least(args.a, "--a", 1)
+    b = _require_at_least(args.b, "--b", 1)
+    n_max = _require_at_least(args.n_max, "--n-max", 1)
 
     columns: dict[str, Callable[[int], object]] = {}
     if args.mode in ("formula", "both"):
-        g = gcd(a, b)
-        reduced = tuple(sorted((a // g, b // g)))
+        g, reduced = convolution.reduced_pair(a, b)
         if reduced not in convolution.FORMULAS:
             sys.stderr.write(
                 f"no closed form for pair ({a},{b}) (reduces to {reduced})\n"
@@ -190,7 +186,7 @@ _IDENTITY_SUITE: list[tuple[str, int | None, Callable[[int], bool]]] = [
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    order = _require_positive(args.order, "--order")
+    order = _require_at_least(args.order, "--order", 1)
     results = []
     for name, bound, check in _IDENTITY_SUITE:
         checked = max(order, bound or 3)
@@ -225,9 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_eta(args: argparse.Namespace) -> int:
-    terms = args.terms
-    if terms < 0:
-        raise CliUsageError(f"--terms must be >= 0, got {terms}")
+    terms = _require_at_least(args.terms, "--terms", 0)
     try:
         spec = EtaQuotientSpec.from_string(args.level, args.spec)
     except ValueError as exc:
@@ -261,7 +255,7 @@ def cmd_eta(args: argparse.Namespace) -> int:
 
 
 def cmd_r7(args: argparse.Namespace) -> int:
-    n_max = _require_positive(args.n_max, "--n-max")
+    n_max = _require_at_least(args.n_max, "--n-max", 1)
     modes = ("closed", "via-w", "enumerate") if args.mode == "all" else (args.mode,)
     if {"closed", "via-w"} & set(modes):
         convolution.shared_cusp_table(n_max)  # one build, as in cmd_wab
@@ -276,7 +270,7 @@ def cmd_r7(args: argparse.Namespace) -> int:
 # -- delta ----------------------------------------------------------------
 
 def cmd_delta(args: argparse.Namespace) -> int:
-    terms = _require_positive(args.terms, "--terms")
+    terms = _require_at_least(args.terms, "--terms", 1)
     series = deltaforms.delta_series(args.form, terms)
     return _tabulate(args.format, terms, {"coefficient": series.coefficient})
 
@@ -295,9 +289,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             f"pair {pair} not supported; choose from "
             + ", ".join(f"{p[0]},{p[1]}" for p in KNOWN_DECOMPOSITIONS)
         )
-    n_max = args.n_max
-    if n_max < MIN_DECOMPOSE_ORDER:
-        raise CliUsageError(f"--n-max must be >= {MIN_DECOMPOSE_ORDER}, got {n_max}")
+    n_max = _require_at_least(args.n_max, "--n-max", MIN_DECOMPOSE_ORDER)
 
     _, _, vec = _decompose(pair, n_max, n_max)
     payload = {

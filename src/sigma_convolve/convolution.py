@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple
 
-from .arith import is_int, sigma_table
+from .arith import check_int, sigma_table
 from .errors import NonIntegralResult
 from .eta import CuspTable
 
@@ -77,8 +77,7 @@ class TermTable(tuple):
         # d -> [sigma3 coef, sigma1 const, sigma1 slope, {form: coef}]
         by_d: dict[int, list] = {}
         for kind, form, d, const, slope in self:
-            if not is_int(d) or d < 1:
-                raise ValueError(f"term divisor must be an integer >= 1, got {d!r}")
+            check_int("TermTable", "d", d, 1)
             row = by_d.setdefault(d, [0, 0, 0, {}])
             c = scaled(const)
             if kind == "sigma3":
@@ -181,8 +180,7 @@ def evaluate(terms: tuple[Term, ...], n: int, label: str) -> int:
     when needed. A nonzero remainder after the one division means a
     corrupted coefficient table and raises NonIntegralResult.
     """
-    if not is_int(n) or n < 1:
-        raise ValueError(f"{label} needs an integer n >= 1, got {n!r}")
+    check_int(label, "n", n, 1)
     if not isinstance(terms, TermTable):
         terms = TermTable(terms)
     table = shared_cusp_table(n)
@@ -210,8 +208,7 @@ def w_brute(a: int, b: int, n: int) -> int:
     mod a/g while l falls by b/g, so the sum is one dot product of two
     strided slices of the sigma table.
     """
-    if not (is_int(a) and is_int(b) and is_int(n)) or a < 1 or b < 1 or n < 1:
-        raise ValueError(f"w_brute needs integers a, b, n >= 1, got {a!r}, {b!r}, {n!r}")
+    check_int("w_brute", "a", a, 1, "b", b, 1, "n", n, 1)
     g = gcd(a, b)
     if n % g:
         return 0
@@ -234,17 +231,21 @@ def w_formula(pair: Pair, n: int) -> int:
     return evaluate(FORMULAS[pair], n, f"W{pair}")
 
 
-def w_reduce(a: int, b: int, n: int) -> int:
-    """W for any pair: divide out gcd(a, b) (zero unless it divides n),
-    then use the closed form when the reduced pair has one, else brute force."""
-    if not (is_int(a) and is_int(b) and is_int(n)) or a < 1 or b < 1 or n < 1:
-        raise ValueError(f"w_reduce needs integers a, b, n >= 1, got {a!r}, {b!r}, {n!r}")
+def reduced_pair(a: int, b: int) -> tuple[int, Pair]:
+    """(g, (a/g, b/g) in ascending order) with g = gcd(a, b): W_{a,b}(n) is
+    W of the reduced pair at n/g, and zero unless g divides n."""
     g = gcd(a, b)
+    a, b = a // g, b // g
+    return g, ((a, b) if a <= b else (b, a))
+
+
+def w_reduce(a: int, b: int, n: int) -> int:
+    """W for any pair: reduce it (zero unless the gcd divides n), then use
+    the closed form when the reduced pair has one, else brute force."""
+    check_int("w_reduce", "a", a, 1, "b", b, 1, "n", n, 1)
+    g, pair = reduced_pair(a, b)
     if n % g != 0:
         return 0
-    a, b, n = a // g, b // g, n // g
-    if a > b:
-        a, b = b, a
-    if (a, b) in FORMULAS:
-        return w_formula((a, b), n)
-    return w_brute(a, b, n)
+    if pair in FORMULAS:
+        return w_formula(pair, n // g)
+    return w_brute(*pair, n // g)

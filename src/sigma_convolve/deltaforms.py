@@ -12,6 +12,7 @@ identifications without any external coefficient tables.
 
 from __future__ import annotations
 
+from .arith import check_int
 from .convolution import (
     DELTA_FORMS,
     TermTable,
@@ -34,6 +35,7 @@ CUBE_BRACKET_TERMS: tuple[tuple[int, dict[int, int]], ...] = (
 
 def cube_bracket(order: int) -> QSeries:
     """The weighted sum of the three eta products; leading term q^3."""
+    check_int("cube_bracket", "order", order, 0)
     return QSeries.linear_combination(
         ((expand(EtaQuotientSpec(CUBE_BRACKET_LEVEL, exps), order), weight)
          for weight, exps in CUBE_BRACKET_TERMS),
@@ -48,13 +50,13 @@ def delta_4_7_cuberoot(order: int) -> QSeries:
     root (leading index 3, hence a 2-index truncation loss) still carries
     every coefficient up to `order`.
     """
-    if order < 3:
-        raise ValueError(f"order must be >= 3, got {order}")
+    check_int("delta_4_7_cuberoot", "order", order, 3)
     return cube_bracket(order + 2).cube_root(3)
 
 
 def delta_series(form: str, order: int) -> QSeries:
     """The named form of DELTA_FORMS as its generator combination."""
+    check_int("delta_series", "order", order, 0)
     if form not in DELTA_FORMS:
         raise ValueError(f"unknown form {form!r}, expected one of {', '.join(DELTA_FORMS)}")
     return QSeries.linear_combination(
@@ -64,11 +66,13 @@ def delta_series(form: str, order: int) -> QSeries:
 
 def delta_4_7_eta(order: int) -> QSeries:
     """The level-7 form as the eta-quotient combination C_1 + 4 C_2."""
+    check_int("delta_4_7_eta", "order", order, 0)
     return delta_series("4,7", order)
 
 
 def delta_4_14(which: int, order: int) -> QSeries:
     """The two level-14 forms: 1 -> -C_3 + C_4, 2 -> -4 C_2 + C_3 + C_4."""
+    check_int("delta_4_14", "which", which, 1, "order", order, 0)
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
     return delta_series(f"4,14,{which}", order)

@@ -29,7 +29,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .arith import divisors, is_int, normalize, sigma_table
+from .arith import check_int, divisors, is_int, normalize, sigma_table
 from .errors import FractionalExponent, NegativeValuation, OutOfRange
 from .qseries import QSeries
 
@@ -43,8 +43,7 @@ class EtaQuotientSpec:
     exponents: Mapping[int, int]
 
     def __init__(self, level: int, exponents: Mapping[int, int]):
-        if not is_int(level) or level < 1:
-            raise ValueError(f"level must be an integer >= 1, got {level!r}")
+        check_int("EtaQuotientSpec", "level", level, 1)
         cleaned: dict[int, int] = {}
         for delta, r in sorted(exponents.items()):
             if not is_int(delta) or not is_int(r):
@@ -115,11 +114,6 @@ class LigozatReport:
     is_cusp: bool
 
 
-def _check_order(order: object, least: int) -> None:
-    if not is_int(order) or order < least:
-        raise ValueError(f"order must be an integer >= {least}, got {order!r}")
-
-
 def _body(exponents: Mapping[int, int], order: int) -> list[int]:
     """Coefficients f_0..f_order of prod P(q^delta)^r_delta, by the
     log-derivative recurrence n f_n = sum_{k=1..n} g_k f_{n-k}."""
@@ -142,7 +136,7 @@ def expand(spec: EtaQuotientSpec, order: int) -> QSeries:
     The order must be an int >= 0, and the q-power q^(offset24/24) whole
     and nonnegative; both are checked before any series is built.
     """
-    _check_order(order, 0)
+    check_int("expand", "order", order, 0)
     offset24 = spec.offset24()
     if offset24 % 24 != 0:
         raise FractionalExponent(f"q-exponent {offset24}/24 is not an integer")
@@ -221,6 +215,7 @@ CUSP_GENERATORS: dict[int, dict[int, int]] = {
 
 def cusp_spec(j: int) -> EtaQuotientSpec:
     """The eta-quotient spec of the j-th cusp generator, 1 <= j <= 9."""
+    check_int("cusp_spec", "j", j, 1)
     if j not in CUSP_GENERATORS:
         raise ValueError(f"generator index must be 1..9, got {j}")
     return EtaQuotientSpec(CUSP_LEVEL, CUSP_GENERATORS[j])
@@ -231,7 +226,7 @@ _cusp_cache: dict[int, QSeries] = {}
 
 def c_series(j: int, order: int) -> QSeries:
     """q-expansion of the j-th cusp generator, cached at the largest order seen."""
-    _check_order(order, 0)
+    check_int("c_series", "j", j, 1, "order", order, 0)
     cached = _cusp_cache.get(j)
     if cached is None or cached.order < order:
         cached = expand(cusp_spec(j), order)
@@ -248,7 +243,7 @@ class CuspTable:
     __slots__ = ("order", "_series")
 
     def __init__(self, order: int):
-        _check_order(order, 1)
+        check_int("CuspTable", "order", order, 1)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_series", {})
 

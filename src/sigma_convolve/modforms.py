@@ -15,7 +15,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .arith import normalize, prime_factors
+from .arith import check_int, normalize, prime_factors
 from .errors import InconsistentSystem, UnderdeterminedSystem
 from .eisenstein import m_series
 from .eta import c_series
@@ -34,8 +34,7 @@ MIN_DECOMPOSE_ORDER = 16
 
 def sturm_bound(level: int) -> int:
     """Ceiling of (level/3) * prod_{p | level} (1 + 1/p) over primes p."""
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+    check_int("sturm_bound", "level", level, 1)
     bound = Fraction(level, 3)
     for p in prime_factors(level):
         bound *= 1 + Fraction(1, p)
@@ -52,10 +51,7 @@ class Basis28:
 
     @classmethod
     def at_order(cls, order: int) -> "Basis28":
-        if order < MIN_DECOMPOSE_ORDER:
-            raise ValueError(
-                f"basis order must be >= {MIN_DECOMPOSE_ORDER}, got {order}"
-            )
+        check_int("Basis28.at_order", "order", order, MIN_DECOMPOSE_ORDER)
         m = m_series(order)
         eis = tuple(m.substitute_power(t) for t in DILATIONS)
         cusp = tuple(c_series(j, order) for j in range(1, 10))
@@ -132,8 +128,7 @@ def decompose(target: QSeries, basis: Basis28, n_max: int) -> CoeffVector:
     dependent rows raises InconsistentSystem (the target is outside the
     space, or a series is wrong). Rank below 15 raises UnderdeterminedSystem.
     """
-    if n_max < MIN_DECOMPOSE_ORDER:
-        raise ValueError(f"n_max must be >= {MIN_DECOMPOSE_ORDER}, got {n_max}")
+    check_int("decompose", "n_max", n_max, MIN_DECOMPOSE_ORDER)
     if target.order < n_max or basis.order < n_max:
         raise ValueError(
             f"need orders >= {n_max}, got target {target.order}, basis {basis.order}"
@@ -167,6 +162,7 @@ def reconstruct(vec: CoeffVector, basis: Basis28) -> QSeries:
 def verify_identity(lhs: QSeries, rhs: QSeries, level: int) -> bool:
     """Equality test for two weight-4 forms of the given level: exact
     agreement of coefficients up to the Sturm bound."""
+    check_int("verify_identity", "level", level, 1)
     bound = sturm_bound(level)
     if lhs.order < bound or rhs.order < bound:
         raise ValueError(

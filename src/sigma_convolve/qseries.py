@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .arith import exact_div, normalize
+from .arith import check_int, exact_div, normalize
 from .errors import BadLeadingTerm, OutOfRange, ZeroConstantTerm
 
 Coeff = int | Fraction
@@ -27,13 +27,13 @@ class QSeries:
     _coeffs: tuple[Coeff, ...]
 
     def __init__(self, coeffs: Iterable[Coeff], order: int | None = None):
+        if order is not None:
+            check_int("QSeries", "order", order, 0)
         cs = [normalize(c) for c in coeffs]
         if order is None:
             if not cs:
                 raise ValueError("empty coefficient list and no explicit order")
             order = len(cs) - 1
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
         if len(cs) < order + 1:
             cs.extend([0] * (order + 1 - len(cs)))
         object.__setattr__(self, "order", order)
@@ -63,6 +63,7 @@ class QSeries:
         L, the integer multiples of each series are summed, and each sum is
         divided by L once.
         """
+        check_int("QSeries.linear_combination", "order", order, 0)
         scaled = [(s, Fraction(normalize(c))) for s, c in terms if c]
         den = lcm(*(c.denominator for _, c in scaled))
         n = min([order, *(s.order for s, _ in scaled)])
@@ -75,8 +76,7 @@ class QSeries:
     @classmethod
     def monomial(cls, n: int, order: int, coeff: Coeff = 1) -> "QSeries":
         """coeff * q^n truncated to the given order."""
-        if n < 0:
-            raise ValueError(f"monomial exponent must be >= 0, got {n}")
+        check_int("QSeries.monomial", "n", n, 0, "order", order, 0)
         cs = [0] * (order + 1)
         if n <= order:
             cs[n] = coeff
@@ -163,8 +163,7 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "QSeries":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
+        check_int("QSeries.__pow__", "e", e, 0)
         result = QSeries.one(self.order)
         base = self
         while e:
@@ -191,8 +190,7 @@ class QSeries:
 
     def substitute_power(self, t: int) -> "QSeries":
         """a(q^t) truncated to the original order."""
-        if t < 1:
-            raise ValueError(f"substitution power must be >= 1, got {t}")
+        check_int("QSeries.substitute_power", "t", t, 1)
         if t == 1:
             return self
         n = self.order
@@ -209,8 +207,9 @@ class QSeries:
         result is truncated to order - 2*(leading_index/3): only coefficients
         fully determined by the stored part of the input are returned.
         """
+        check_int("QSeries.cube_root", "leading_index", leading_index, 0)
         lead = leading_index
-        if lead < 0 or lead % 3 != 0:
+        if lead % 3 != 0:
             raise BadLeadingTerm(f"leading index must be a nonnegative multiple of 3, got {lead}")
         if lead > self.order:
             raise BadLeadingTerm(f"leading index {lead} exceeds order {self.order}")

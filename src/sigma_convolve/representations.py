@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul
 
-from .arith import sigma, sigma_scaled
+from .arith import check_int, sigma, sigma_scaled
 from .convolution import TermTable, evaluate, form_terms, sigma3_terms, w_formula
 from .eta import c_series
 from .modforms import sturm_bound
@@ -26,6 +26,7 @@ from .qseries import QSeries
 def r4_jacobi(n: int) -> int:
     """Four-squares count by the divisor-sum formula: 8*sigma(n) - 32*sigma(n/4),
     with r4(0) = 1 and zero off the nonnegative integers."""
+    check_int("r4_jacobi", "n", n)
     if n < 0:
         return 0
     if n == 0:
@@ -43,6 +44,7 @@ def r4_enumerate(n: int) -> int:
     norm n splits into two planar points of norms k and n - k, so
     r4(n) = sum over k of r2(k) * r2(n - k).
     """
+    check_int("r4_enumerate", "n", n)
     if n < 0:
         return 0
     r2 = [0] * (n + 1)
@@ -55,6 +57,7 @@ def r4_enumerate(n: int) -> int:
 
 def r7_enumerate(n: int) -> int:
     """R7 by enumeration, split over n = l + 7m: sum of r4(l)*r4(m)."""
+    check_int("r7_enumerate", "n", n)
     if n < 0:
         return 0
     return sum(r4_enumerate(n - 7 * m) * r4_enumerate(m) for m in range(n // 7 + 1))
@@ -64,8 +67,7 @@ def r7_via_w(n: int) -> int:
     """R7 by the divisor-sum and convolution-sum formula:
     8 sigma(n) - 32 sigma(n/4) + 8 sigma(n/7) - 32 sigma(n/28)
     + 64 W_{1,7}(n) + 1024 W_{1,7}(n/4) - 256 (W_{4,7}(n) + W_{1,28}(n))."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_int("r7_via_w", "n", n, 1)
     total = (
         8 * sigma(1, n)
         - 32 * sigma_scaled(1, n, 4)
@@ -123,9 +125,7 @@ SHIFT_IDENTITY_LEVEL = 56  # the dilated forms live at level 56
 def verify_cusp_shift_identity(order: int) -> bool:
     """Check C_1(q^4) + 4 C_2(q^4) against its nine-generator expression
     at the given order, which must reach the level-56 Sturm bound."""
-    bound = sturm_bound(SHIFT_IDENTITY_LEVEL)
-    if order < bound:
-        raise ValueError(f"order must be >= {bound}, got {order}")
+    check_int("verify_cusp_shift_identity", "order", order, sturm_bound(SHIFT_IDENTITY_LEVEL))
     lhs = c_series(1, order).substitute_power(4) + 4 * c_series(2, order).substitute_power(4)
     rhs = QSeries.linear_combination(
         ((c_series(j, order), coef) for j, coef in SHIFT_IDENTITY_COEFFS.items()), order

@@ -1,17 +1,27 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigma_convolve.arith import sigma
 from sigma_convolve.errors import BadLeadingTerm, OutOfRange, ZeroConstantTerm
 from sigma_convolve.qseries import QSeries
 
 
-def random_series(rng: random.Random, order: int, unit: bool = False) -> QSeries:
-    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)]
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def series(draw, order: int | None = None, unit: bool = False) -> QSeries:
+    """A series of the given order, or of a drawn order 0..30, with
+    coefficients p/q, |p| <= 9, 1 <= q <= 9; ``unit`` draws the constant
+    term from 1, -1, 2, 3."""
+    if order is None:
+        order = draw(st.integers(0, 30))
+    coeffs = draw(st.lists(small_fractions, min_size=order + 1, max_size=order + 1))
     if unit:
-        coeffs[0] = Fraction(rng.choice([1, -1, 2, 3]))
+        coeffs[0] = Fraction(draw(st.sampled_from([1, -1, 2, 3])))
     return QSeries(coeffs, order)
 
 
@@ -94,11 +104,10 @@ def test_inverse():
         QSeries([0, 1], 3).inverse()
 
 
-def test_inverse_round_trip_randomized():
-    rng = random.Random(7231)
-    for _ in range(25):
-        s = random_series(rng, 30, unit=True)
-        assert (s * s.inverse()) == QSeries.one(30)
+@settings(max_examples=20, deadline=None)
+@given(s=series(unit=True))
+def test_inverse_round_trip_randomized(s):
+    assert (s * s.inverse()) == QSeries.one(s.order)
 
 
 def test_substitute_power():
@@ -110,12 +119,10 @@ def test_substitute_power():
         t.substitute_power(0)
 
 
-def test_substitute_power_is_multiplicative():
-    rng = random.Random(90125)
-    for t in (2, 3, 7):
-        a = random_series(rng, 30)
-        b = random_series(rng, 30)
-        assert (a * b).substitute_power(t) == a.substitute_power(t) * b.substitute_power(t)
+@settings(max_examples=5, deadline=None)
+@given(a=series(30), b=series(30), t=st.sampled_from([2, 3, 7]))
+def test_substitute_power_is_multiplicative(a, b, t):
+    assert (a * b).substitute_power(t) == a.substitute_power(t) * b.substitute_power(t)
 
 
 def test_cube_root_examples():
@@ -123,20 +130,19 @@ def test_cube_root_examples():
     assert QSeries.monomial(3, 3).cube_root(3).coeffs == (0, 1)
 
 
-def test_cube_root_round_trip_randomized():
-    rng = random.Random(555)
-    for _ in range(10):
-        root = random_series(rng, 30)
-        root = QSeries((1,) + root.coeffs[1:], 30)  # unit leading coefficient
-        cube = root ** 3
-        recovered = cube.cube_root(0)
-        assert recovered == root
-        # shifted version: multiply by q^6, recover from leading index 6
-        shifted = QSeries(6 * (0,) + cube.coeffs, 36)
-        r = shifted.cube_root(6)
-        assert r.valuation() == 2
-        assert r.coeffs[2:] == root.coeffs[: r.order - 1]
-        assert (r ** 3).equal_up_to(shifted.truncate(r.order), r.order)
+@settings(max_examples=10, deadline=None)
+@given(root=series(30))
+def test_cube_root_round_trip_randomized(root):
+    root = QSeries((1,) + root.coeffs[1:], 30)  # unit leading coefficient
+    cube = root ** 3
+    recovered = cube.cube_root(0)
+    assert recovered == root
+    # shifted version: multiply by q^6, recover from leading index 6
+    shifted = QSeries(6 * (0,) + cube.coeffs, 36)
+    r = shifted.cube_root(6)
+    assert r.valuation() == 2
+    assert r.coeffs[2:] == root.coeffs[: r.order - 1]
+    assert (r ** 3).equal_up_to(shifted.truncate(r.order), r.order)
 
 
 def test_cube_root_errors():
@@ -185,26 +191,22 @@ def test_valuation():
     assert QSeries.zero(4).valuation() is None
 
 
-def test_ring_laws_randomized():
-    rng = random.Random(31415)
-    for _ in range(15):
-        a = random_series(rng, 30)
-        b = random_series(rng, 30)
-        c = random_series(rng, 30)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+@settings(max_examples=10, deadline=None)
+@given(a=series(30), b=series(30), c=series(30))
+def test_ring_laws_randomized(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
 
 
-def test_truncation_consistency():
+@settings(max_examples=3, deadline=None)
+@given(a=series(40, unit=True), b=series(40), cut=st.integers(0, 40))
+def test_truncation_consistency(a, b, cut):
     # coefficient n of a product depends only on inputs up to index n
-    rng = random.Random(246)
-    a = random_series(rng, 40, unit=True)
-    b = random_series(rng, 40)
-    assert (a * b).truncate(12) == a.truncate(12) * b.truncate(12)
-    assert a.inverse().truncate(12) == a.truncate(12).inverse()
+    assert (a * b).truncate(cut) == a.truncate(cut) * b.truncate(cut)
+    assert a.inverse().truncate(cut) == a.truncate(cut).inverse()
 
 
 def fraction_combination(terms, order):
@@ -217,22 +219,24 @@ def fraction_combination(terms, order):
     return acc
 
 
-def test_linear_combination_matches_fraction_sum():
-    rng = random.Random(2718)
-    for _ in range(30):
-        order = rng.randint(0, 25)
-        terms = []
-        for _ in range(rng.randint(0, 6)):
-            series = random_series(rng, rng.randint(0, 30))
-            if rng.random() < 0.5:  # integer series, as every basis series is
-                series = QSeries([rng.randint(-99, 99) for _ in range(series.order + 1)])
-            coef = rng.choice([0, rng.randint(-9, 9),
-                               Fraction(rng.randint(-99, 99), rng.randint(1, 60))])
-            terms.append((series, coef))
-        got = QSeries.linear_combination(terms, order)
-        assert got == fraction_combination(terms, order)
-        assert all(type(c) in (int, Fraction) for c in got.coeffs)
-        assert all(c.denominator > 1 for c in got.coeffs if isinstance(c, Fraction))
+# integer series, as every basis series is, half the time
+int_series = st.lists(st.integers(-99, 99), min_size=1, max_size=31).map(QSeries)
+combination_coefs = st.one_of(
+    st.just(0), st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-99, 99), st.integers(1, 60)),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    order=st.integers(0, 25),
+    terms=st.lists(st.tuples(st.one_of(series(), int_series), combination_coefs), max_size=6),
+)
+def test_linear_combination_matches_fraction_sum(order, terms):
+    got = QSeries.linear_combination(terms, order)
+    assert got == fraction_combination(terms, order)
+    assert all(type(c) in (int, Fraction) for c in got.coeffs)
+    assert all(c.denominator > 1 for c in got.coeffs if isinstance(c, Fraction))
 
 
 def test_linear_combination_edge_cases():
