@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import isqrt
+from math import isqrt, lcm
 from operator import add
+from typing import Iterable
 
 
 def normalize(value: int | Fraction) -> int | Fraction:
@@ -38,6 +39,14 @@ def exact_div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
     return normalize(Fraction(a) / Fraction(b))
+
+
+def over_common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int]:
+    """(the values times L, L), with L the lcm of the values' denominators:
+    integer numerators of every value over one shared denominator."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def divisors(n: int) -> list[int]:

@@ -167,6 +167,7 @@ _shared_table: CuspTable | None = None
 def shared_cusp_table(min_order: int) -> CuspTable:
     """Module-wide cusp table, regrown monotonically as larger n arrive."""
     global _shared_table
+    check_int("shared_cusp_table", "min_order", min_order, 1)
     if _shared_table is None or _shared_table.order < min_order:
         current = 0 if _shared_table is None else _shared_table.order
         _shared_table = CuspTable(max(min_order, 2 * current, 64))

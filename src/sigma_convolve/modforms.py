@@ -3,19 +3,22 @@ linear decomposition against the 15-element basis.
 
 The basis is the six dilated weight-4 Eisenstein series M(q^t) for
 t in {1, 2, 4, 7, 14, 28} plus the nine cusp generators. Decomposition
-solves the overdetermined coefficient-matching system exactly over
-rationals, so a wrong target or a transcription slip surfaces as a hard
-error, never as a least-squares fudge.
+matches coefficients of q^0 .. q^n_max exactly: it solves the square system
+of the first fifteen independent rows in integers, then checks the solution
+against every row, so a wrong target or a transcription slip surfaces as a
+hard error, never as a least-squares fudge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .arith import check_int, normalize, prime_factors
+from .arith import check_int, normalize, over_common_denominator, prime_factors
 from .errors import InconsistentSystem, UnderdeterminedSystem
 from .eisenstein import m_series
 from .eta import c_series
@@ -87,46 +90,64 @@ class CoeffVector:
         return tuple(self.x.values()) + self.y
 
 
-def _eliminate(rows: list[list[Fraction]], ncols: int) -> int:
-    """In-place Gauss-Jordan on rows of width >= ncols; returns the rank.
+def _pivot_rows(
+    rows: Iterable[Sequence[int | Fraction]], ncols: int, stop: int
+) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan over the first ncols columns: (pivots,
+    reduced), with reduced[i] an integer row, divided by its content, that
+    is zero in every pivot column but its own, pivots[i].
 
-    Pivot choice is deterministic: for each column, the first row (in index
-    order) with a nonzero entry among the rows not yet used as pivots.
+    Rows are scaled to integers and taken in index order, each reduced
+    against the pivot rows found so far; a row left nonzero in the first
+    ncols columns becomes a pivot row at its first nonzero column, and the
+    earlier pivot rows are cleared there. Elimination stops at stop pivots,
+    so no later row is read.
     """
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
+    pivots: list[int] = []
+    reduced: list[list[int]] = []
+    for row in rows:
+        if len(pivots) == stop:
+            break
+        work, _ = over_common_denominator(row)
+        for col, prow in zip(pivots, reduced):
+            if work[col]:
+                f, p = work[col], prow[col]
+                work = [p * w - f * v for w, v in zip(work, prow)]
+        col = next((j for j in range(ncols) if work[j]), None)
+        if col is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for k in range(col, len(prow)):
-            prow[k] *= inv
-        for i, row in enumerate(rows):
-            if i != rank and row[col]:
-                f = row[col]
-                for k in range(col, len(row)):
-                    row[k] -= f * prow[k]
-        rank += 1
-    return rank
+        g = gcd(*work)
+        work = [w // g for w in work]
+        for i, prow in enumerate(reduced):
+            if prow[col]:
+                f, p = prow[col], work[col]
+                prow = [p * v - f * w for v, w in zip(prow, work)]
+                g = gcd(*prow)
+                reduced[i] = [v // g for v in prow]
+        pivots.append(col)
+        reduced.append(work)
+    return pivots, reduced
 
 
 def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Exact rank of a rational matrix."""
     if not rows:
         return 0
-    work = [[Fraction(v) for v in row] for row in rows]
-    return _eliminate(work, len(work[0]))
+    ncols = len(rows[0])
+    return len(_pivot_rows(rows, ncols, ncols)[0])
 
 
 def decompose(target: QSeries, basis: Basis28, n_max: int) -> CoeffVector:
-    """Coordinates of target in the 15-element basis, by exact elimination
-    on the coefficient-matching system for q^0 .. q^n_max.
+    """Coordinates of target in the 15-element basis, matching the
+    coefficients of q^0 .. q^n_max exactly.
 
-    The system is overdetermined for n_max >= 15; a nonzero residual on the
-    dependent rows raises InconsistentSystem (the target is outside the
-    space, or a series is wrong). Rank below 15 raises UnderdeterminedSystem.
+    Rows (the basis coefficients of q^n, then the target's) go through
+    _pivot_rows until fifteen pivots stand; no later row is eliminated.
+    If all n_max + 1 rows give fewer, UnderdeterminedSystem is raised. The
+    unique solution x is read off the pivots, and every row 0..n_max is
+    then checked in integers, sum_j A_nj (x_j D) == b_n D with D the lcm of
+    the denominators of x; a nonzero residual raises InconsistentSystem
+    (the target is outside the space, or a series is wrong).
     """
     check_int("decompose", "n_max", n_max, MIN_DECOMPOSE_ORDER)
     if target.order < n_max or basis.order < n_max:
@@ -135,19 +156,19 @@ def decompose(target: QSeries, basis: Basis28, n_max: int) -> CoeffVector:
         )
     cols = basis.columns()
     ncols = len(cols)
-    rows = [
-        [Fraction(c.coeffs[n]) for c in cols] + [Fraction(target.coeffs[n])]
-        for n in range(n_max + 1)
-    ]
-    rank = _eliminate(rows, ncols)
-    if rank < ncols:
-        raise UnderdeterminedSystem(f"basis rank {rank} < {ncols} unknowns")
-    for row in rows[rank:]:
-        if row[ncols]:
+    rows = list(zip(*(s.coeffs[: n_max + 1] for s in (*cols, target))))
+    pivots, reduced = _pivot_rows(rows, ncols, ncols)
+    if len(pivots) < ncols:
+        raise UnderdeterminedSystem(f"basis rank {len(pivots)} < {ncols} unknowns")
+    solution = [Fraction(0)] * ncols
+    for col, prow in zip(pivots, reduced):
+        solution[col] = Fraction(prow[ncols], prow[col])
+    scaled, den = over_common_denominator(solution)
+    for row in rows:
+        if sum(map(mul, row, scaled)) != row[ncols] * den:
             raise InconsistentSystem(
                 "nonzero residual: target is not in the spanned space"
             )
-    solution = [rows[i][ncols] for i in range(ncols)]
     return CoeffVector.make(
         dict(zip(DILATIONS, solution[:EISENSTEIN_DIMENSION])),
         solution[EISENSTEIN_DIMENSION:],

@@ -4,15 +4,22 @@ A QSeries holds coefficients for q^0 .. q^order inclusive. Every binary
 operation truncates to the smaller operand order, so compositions stay total
 when everything is built at one global order. Coefficients are int or
 Fraction (ints kept as ints so integer series multiply at native speed).
+
+Series products use signed Kronecker substitution: each operand, scaled to
+integers by the lcm of its denominators, is packed into one big int with one
+fixed-width slot per coefficient, the two ints are multiplied once, and the
+product's low slots are read back as the coefficients. A slot holds the
+bound |c_k| <= min(l1(a) max|b|, l1(b) max|a|) on every product coefficient
+plus a sign bit, rounded up to whole bytes, so no slot can carry into the
+next and the result is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
-from .arith import check_int, exact_div, normalize
+from .arith import check_int, exact_div, normalize, over_common_denominator
 from .errors import BadLeadingTerm, OutOfRange, ZeroConstantTerm
 
 Coeff = int | Fraction
@@ -64,12 +71,11 @@ class QSeries:
         divided by L once.
         """
         check_int("QSeries.linear_combination", "order", order, 0)
-        scaled = [(s, Fraction(normalize(c))) for s, c in terms if c]
-        den = lcm(*(c.denominator for _, c in scaled))
-        n = min([order, *(s.order for s, _ in scaled)])
+        pairs = [(s, normalize(c)) for s, c in terms if c]
+        scaled, den = over_common_denominator(c for _, c in pairs)
+        n = min([order, *(s.order for s, _ in pairs)])
         acc: list[Coeff] = [0] * (n + 1)
-        for s, c in scaled:
-            k = c.numerator * (den // c.denominator)
+        for (s, _), k in zip(pairs, scaled):
             acc = [a + k * b for a, b in zip(acc, s._coeffs)]
         return cls([exact_div(a, den) for a in acc], n)
 
@@ -90,6 +96,7 @@ class QSeries:
 
     def coefficient(self, n: int) -> Coeff:
         """Coefficient of q^n; raises OutOfRange beyond the truncation."""
+        check_int("QSeries.coefficient", "n", n)
         if not 0 <= n <= self.order:
             raise OutOfRange(f"index {n} outside stored range 0..{self.order}")
         return self._coeffs[n]
@@ -111,6 +118,7 @@ class QSeries:
 
     def equal_up_to(self, other: "QSeries", bound: int) -> bool:
         """Exact agreement of coefficients 0..bound inclusive."""
+        check_int("QSeries.equal_up_to", "bound", bound, 0)
         if bound > self.order or bound > other.order:
             raise OutOfRange(
                 f"bound {bound} exceeds stored orders {self.order}, {other.order}"
@@ -137,28 +145,19 @@ class QSeries:
         return QSeries([-c for c in self._coeffs], self.order)
 
     def __mul__(self, other: "QSeries | Coeff") -> "QSeries":
+        """Scalar or truncated series product. A series product is one
+        big-int multiply of the operands' integer numerators (see the module
+        docstring), divided once by the product of their denominators."""
         if isinstance(other, (int, Fraction)):
             return QSeries([c * other for c in self._coeffs], self.order)
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
-        # iterate the sparser support on the outside: the squared combinations
-        # a L(q^a) - b L(q^b) and factor-by-factor test products have many zeros
-        sup_a = [i for i in range(n + 1) if a[i]]
-        sup_b = [i for i in range(n + 1) if b[i]]
-        if len(sup_b) < len(sup_a):
-            a, b = b, a
-            sup_a, sup_b = sup_b, sup_a
-        out: list[Coeff] = [0] * (n + 1)
-        for i in sup_a:
-            ai = a[i]
-            lim = n - i
-            for j in sup_b:
-                if j > lim:
-                    break
-                out[i + j] += ai * b[j]
-        return QSeries(out, n)
+        a, den_a = over_common_denominator(self._coeffs[: n + 1])
+        b, den_b = (a, den_a) if other is self else over_common_denominator(other._coeffs[: n + 1])
+        out = _kronecker_product(a, b)
+        den = den_a * den_b
+        return QSeries(out if den == 1 else [exact_div(c, den) for c in out], n)
 
     __rmul__ = __mul__
 
@@ -261,3 +260,36 @@ class QSeries:
         body = " + ".join(terms) if terms else "0"
         return f"QSeries({body}; order={self.order})"
 
+
+def _kronecker_product(a: list[int], b: list[int]) -> list[int]:
+    """The first len(a) coefficients of the product of two integer
+    polynomials with len(a) == len(b) coefficients each.
+
+    Every slot is w bytes, with w the least byte count whose half range
+    2^(8w-1) exceeds min(l1(a) max|b|, l1(b) max|a|); that bounds every
+    |c_k| and every |a_i| and |b_i|. Each operand is packed with every digit
+    offset by that half into [0, 2^(8w)), and the offsets are subtracted as
+    one int. The product is cut to len(a) slots in two's complement, the
+    half is added back to every slot, and each slot is read as unsigned
+    less the half.
+    """
+    size = len(a)
+    l1_a, l1_b = sum(map(abs, a)), sum(map(abs, b))
+    if not l1_a or not l1_b:
+        return [0] * size
+    bound = min(l1_a * max(map(abs, b)), l1_b * max(map(abs, a)))
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    offsets = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+
+    def pack(cs: list[int]) -> int:
+        slots = b"".join([(c + half).to_bytes(width, "little") for c in cs])
+        return int.from_bytes(slots, "little") - offsets
+
+    packed_a = pack(a)
+    packed_b = packed_a if b is a else pack(b)
+    nbytes = width * size
+    low = (packed_a * packed_b + offsets) & ((1 << 8 * nbytes) - 1)
+    digits = memoryview(low.to_bytes(nbytes, "little"))
+    return [int.from_bytes(digits[i : i + width], "little") - half
+            for i in range(0, nbytes, width)]

@@ -10,7 +10,16 @@ import pytest
 
 from sigma_convolve import arith, convolution, eta
 from sigma_convolve.arith import divisors, prime_factors, sigma, sigma_scaled, sigma_table
-from sigma_convolve.convolution import FORMULAS, Term, TermTable, evaluate, w_brute, w_formula, w_reduce
+from sigma_convolve.convolution import (
+    FORMULAS,
+    Term,
+    TermTable,
+    evaluate,
+    shared_cusp_table,
+    w_brute,
+    w_formula,
+    w_reduce,
+)
 from sigma_convolve.deltaforms import (
     cube_bracket,
     delta_4_7_cuberoot,
@@ -57,6 +66,8 @@ CASES = [
     ("QSeries.monomial", "order", 0, lambda v: QSeries.monomial(1, v)),
     ("QSeries.linear_combination", "order", 0,
      lambda v: QSeries.linear_combination([(SERIES, 2)], v)),
+    ("QSeries.coefficient", "n", None, SERIES.coefficient),
+    ("QSeries.equal_up_to", "bound", 0, lambda v: SERIES.equal_up_to(SERIES, v)),
     ("QSeries.__pow__", "e", 0, lambda v: SERIES ** v),
     ("QSeries.substitute_power", "t", 1, SERIES.substitute_power),
     ("QSeries.cube_root", "leading_index", 0, SERIES.cube_root),
@@ -68,6 +79,7 @@ CASES = [
     ("c_series", "order", 0, lambda v: c_series(1, v)),
     ("CuspTable", "order", 1, CuspTable),
     ("TermTable", "d", 1, lambda v: TermTable([Term("sigma3", 0, v, Fraction(1))])),
+    ("shared_cusp_table", "min_order", 1, shared_cusp_table),
     ("W(1,7)", "n", 1, lambda v: evaluate(FORMULAS[(1, 7)], v, "W(1,7)")),
     ("w_brute", "a", 1, lambda v: w_brute(v, 28, 100)),
     ("w_brute", "b", 1, lambda v: w_brute(1, v, 100)),

@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sigma_convolve.eisenstein import l_combination, m_series
 from sigma_convolve.errors import InconsistentSystem, UnderdeterminedSystem
@@ -51,6 +53,25 @@ def test_matrix_rank_small_cases():
     assert matrix_rank([[1, 0], [0, 1]]) == 2
     assert matrix_rank([[Fraction(1, 2), 1], [1, 2], [3, 6]]) == 1
     assert matrix_rank([]) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    entries=st.lists(
+        st.one_of(st.just(0), st.integers(-3, 3),
+                  st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))),
+        min_size=64, max_size=64,
+    ),
+    repeat=st.integers(0, 8),
+)
+def test_matrix_rank_matches_rational_gauss_jordan(shape, entries, repeat):
+    nrows, ncols = shape
+    rows = [entries[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+    # a repeated or doubled row makes low rank common
+    rows.append([2 * v for v in rows[repeat % nrows]])
+    work = [[Fraction(v) for v in row] for row in rows]
+    assert matrix_rank(rows) == rational_gauss_jordan(work, ncols)
 
 
 def test_known_decompositions_reproduced(basis300):
@@ -170,3 +191,112 @@ def test_known_decompositions_shape():
     for vec in KNOWN_DECOMPOSITIONS.values():
         assert tuple(vec.x) == DILATIONS
         assert len(vec.y) == 9
+
+
+def rational_gauss_jordan(rows, ncols):
+    """In-place Gauss-Jordan over Fractions on rows of width >= ncols;
+    returns the rank. For each column the pivot is the first unused row
+    (in index order) with a nonzero entry there."""
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        inv = 1 / prow[col]
+        for k in range(col, len(prow)):
+            prow[k] *= inv
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = row[col]
+                for k in range(col, len(row)):
+                    row[k] -= f * prow[k]
+        rank += 1
+    return rank
+
+
+def full_row_decompose(target, basis, n_max):
+    """The earlier decompose, kept as the differential reference: rational
+    Gauss-Jordan over every row 0..n_max, then the residual of each row
+    past the rank."""
+    cols = basis.columns()
+    ncols = len(cols)
+    rows = [
+        [Fraction(c.coeffs[n]) for c in cols] + [Fraction(target.coeffs[n])]
+        for n in range(n_max + 1)
+    ]
+    rank = rational_gauss_jordan(rows, ncols)
+    if rank < ncols:
+        raise UnderdeterminedSystem(f"basis rank {rank} < {ncols} unknowns")
+    if any(row[ncols] for row in rows[rank:]):
+        raise InconsistentSystem("nonzero residual")
+    solution = [rows[i][ncols] for i in range(ncols)]
+    return CoeffVector.make(
+        dict(zip(DILATIONS, solution[:EISENSTEIN_DIMENSION])),
+        solution[EISENSTEIN_DIMENSION:],
+    )
+
+
+def outcome(solve, *args):
+    """solve(*args), or the class of the decomposition error it raised."""
+    try:
+        return solve(*args)
+    except (InconsistentSystem, UnderdeterminedSystem) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("pair", sorted(KNOWN_DECOMPOSITIONS))
+@settings(max_examples=3, deadline=None)
+@given(n_max=st.integers(16, 300))
+@example(n_max=16)
+@example(n_max=300)
+def test_decompose_matches_full_row_reference(basis300, pair, n_max):
+    target = l_combination(*pair, 300) ** 2
+    got = decompose(target, basis300, n_max)
+    assert got == full_row_decompose(target, basis300, n_max)
+    assert got == KNOWN_DECOMPOSITIONS[pair]
+
+
+coordinates = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 40))
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    x=st.lists(coordinates, min_size=6, max_size=6),
+    y=st.lists(coordinates, min_size=9, max_size=9),
+    n_max=st.integers(16, 300),
+    row=st.integers(0, 300),
+    bump=coordinates.filter(bool),
+)
+@example(x=[1] * 6, y=[1] * 9, n_max=16, row=16, bump=1)
+@example(x=[1] * 6, y=[1] * 9, n_max=16, row=7, bump=1)
+@example(x=[1] * 6, y=[1] * 9, n_max=300, row=300, bump=-1)
+def test_decompose_recovers_and_rejects_like_reference(basis300, x, y, n_max, row, bump):
+    vec = CoeffVector.make(dict(zip(DILATIONS, x)), y)
+    target = reconstruct(vec, basis300)
+    assert decompose(target, basis300, n_max) == vec
+    assert full_row_decompose(target, basis300, n_max) == vec
+    # one coefficient changed, at a row up to n_max inclusive
+    row %= n_max + 1
+    bumped = target + QSeries.monomial(row, target.order, bump)
+    got = outcome(decompose, bumped, basis300, n_max)
+    assert got == outcome(full_row_decompose, bumped, basis300, n_max)
+    # below n_max 28 the truncated span holds q^0 and q^14 (and q^7 below
+    # 21), so a change there can stay consistent; both solvers agree on it
+    if n_max >= 28 or row not in (0, 7, 14):
+        assert got is InconsistentSystem
+
+
+@pytest.mark.parametrize("target", ["in span", "outside span"])
+def test_duplicated_column_is_underdetermined_like_reference(basis300, target):
+    doctored = replace(
+        basis300, cusp_parts=basis300.cusp_parts[:8] + (basis300.cusp_parts[7],)
+    )
+    series = m_series(300)
+    if target == "outside span":
+        # rank < 15 takes precedence over a nonzero residual
+        series = series + QSeries.monomial(40, 300)
+    for solve in (decompose, full_row_decompose):
+        with pytest.raises(UnderdeterminedSystem):
+            solve(series, doctored, 100)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigma_convolve.arith import sigma
@@ -67,6 +67,93 @@ def test_mul_examples():
     order = 10
     l = QSeries([1] + [-24 * sigma(1, n) for n in range(1, order + 1)], order)
     assert (l * l).coefficient(1) == -48
+
+
+def schoolbook_mul(a: QSeries, b: QSeries) -> QSeries:
+    """The earlier series product, kept as the differential reference: a
+    double loop over the nonzero coefficients, the sparser operand outside."""
+    n = min(a.order, b.order)
+    a, b = a.coeffs, b.coeffs
+    sup_a = [i for i in range(n + 1) if a[i]]
+    sup_b = [i for i in range(n + 1) if b[i]]
+    if len(sup_b) < len(sup_a):
+        a, b = b, a
+        sup_a, sup_b = sup_b, sup_a
+    out = [0] * (n + 1)
+    for i in sup_a:
+        for j in sup_b:
+            if j > n - i:
+                break
+            out[i + j] += a[i] * b[j]
+    return QSeries(out, n)
+
+
+def schoolbook_pow(s: QSeries, e: int) -> QSeries:
+    result = QSeries.one(s.order)
+    for _ in range(e):
+        result = schoolbook_mul(result, s)
+    return result
+
+
+big_ints = st.integers(-2**200, 2**200)
+coefficient_kinds = st.sampled_from([
+    st.integers(-9, 9),
+    big_ints,
+    small_fractions,
+    st.builds(Fraction, big_ints, st.integers(1, 2**64)),
+    st.one_of(st.integers(-9, 9), big_ints, small_fractions),
+])
+
+
+@st.composite
+def runs_series(draw, max_order: int = 120) -> QSeries:
+    """A series built from runs: up to 60 zeros, or up to 10 coefficients of
+    one drawn kind (small or +-2^200 ints, fractions, or a mix), padded with
+    zeros or truncated to a drawn order 0..max_order."""
+    kind = draw(coefficient_kinds)
+    runs = draw(st.lists(
+        st.one_of(st.integers(1, 60).map(lambda k: [0] * k),
+                  st.lists(kind, min_size=1, max_size=10)),
+        min_size=1, max_size=6,
+    ))
+    return QSeries([c for run in runs for c in run], draw(st.integers(0, max_order)))
+
+
+def assert_normalized(s: QSeries) -> None:
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in s.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=runs_series(), b=runs_series())
+@example(a=QSeries.zero(40), b=QSeries([2**200, -1], 40))
+@example(a=QSeries([3], 0), b=QSeries([-2**200, 5], 7))
+@example(a=QSeries([Fraction(1, 3), 0, -2], 9), b=QSeries([Fraction(-3, 2)] * 4, 5))
+def test_mul_matches_schoolbook(a, b):
+    expected = schoolbook_mul(a, b)
+    assert a * b == expected and b * a == expected
+    assert_normalized(a * b)
+    assert a * a == schoolbook_mul(a, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=runs_series(max_order=40), e=st.integers(0, 6))
+def test_pow_matches_repeated_schoolbook(s, e):
+    got = s ** e
+    assert got == schoolbook_pow(s, e)
+    assert_normalized(got)
+
+
+@pytest.mark.parametrize("m", [1, 127, 128, 181, 255, 256, 2**200])
+@pytest.mark.parametrize("length", [1, 2, 16])
+def test_mul_at_the_slot_bound(m, length):
+    # equal coefficients reach the bound l1(a) max|b| exactly, at the top
+    # index, with either sign
+    plus, minus = QSeries([m] * length), QSeries([-m] * length)
+    for a, b in ((plus, plus), (plus, minus), (minus, minus)):
+        product = a * b
+        assert product == schoolbook_mul(a, b)
+        assert abs(product.coefficient(length - 1)) == length * m * m
 
 
 def test_mul_truncates_to_min_order():
