@@ -35,7 +35,6 @@ from .errors import (
     NonIntegralResult,
     OutOfRange,
     UnderdeterminedSystem,
-    ZeroConstantTerm,
 )
 from .eta import (
     CUSP_GENERATORS,
@@ -93,7 +92,6 @@ __all__ = [
     "Term",
     "TermTable",
     "UnderdeterminedSystem",
-    "ZeroConstantTerm",
     "c_series",
     "cube_bracket",
     "cusp_spec",

@@ -98,6 +98,14 @@ def check_int(who: str, name: str, value: object, least: int | None = None,
         i += 3
 
 
+def grown_size(have: int, need: int) -> int:
+    """The size a module-wide table of size ``have`` regrows to when a read
+    needs ``need`` past it: max(need, 2 * have, 64), so ever larger reads
+    rebuild it a logarithmic number of times. Both the sigma tables and the
+    cusp store of ``eta`` grow by it."""
+    return max(need, 2 * have, 64)
+
+
 # k -> (sigma_k(0), ..., sigma_k(m)), sigma_k(0) = 0
 _sigma_tables: dict[int, tuple[int, ...]] = {}
 
@@ -106,13 +114,13 @@ def sigma_table(k: int, n: int) -> tuple[int, ...]:
     """The shared table sigma_k(0..m) for some m >= n, with sigma_k(0) = 0.
 
     When n is past its end the table is rebuilt by a divisor-accumulation
-    sieve to m = max(n, twice its old m, 64). The tuple is never mutated,
+    sieve to m = grown_size(old m, n). The tuple is never mutated,
     so callers may keep and slice it.
     """
     check_int("sigma_table", "k", k, 1, "n", n, 0)
     table = _sigma_tables.get(k, ())
     if n >= len(table):
-        top = max(n, 2 * (len(table) - 1), 64)
+        top = grown_size(len(table) - 1, n)
         sieve = [0] * (top + 1)
         for d in range(1, top + 1):
             sieve[d::d] = map(add, sieve[d::d], repeat(d**k))

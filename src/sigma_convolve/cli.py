@@ -129,8 +129,8 @@ def cmd_wab(args: argparse.Namespace) -> int:
                 f"no closed form for pair ({a},{b}) (reduces to {reduced})\n"
             )
             return EXIT_DOMAIN
-        # size the shared cusp table once: grown row by row, it would
-        # re-expand all nine generators at every doubling
+        # size the cusp store once: grown row by row, it would re-expand
+        # every generator it reads at each doubling
         convolution.shared_cusp_table(max(1, n_max // g))
         columns["w_formula"] = lambda n: convolution.w_reduce(a, b, n)
     if args.mode in ("brute", "both"):

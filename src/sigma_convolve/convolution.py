@@ -19,9 +19,10 @@ A ``TermTable`` also carries its integer form, made once when the table is
 built: L, the lcm of every coefficient's denominator, and the coefficients
 times L, grouped by d. ``evaluate`` sums those integers at n and divides
 once by L, so no rational arithmetic runs per query; a nonzero remainder
-means a corrupted table. It reads every c_j from one module-wide cusp
-table, ``shared_cusp_table``, which grows by doubling as larger n arrive;
-a caller about to tabulate up to some n can size it once beforehand.
+means a corrupted table. It reads every c_j from the one cusp coefficient
+store of ``eta``, which grows by doubling as larger n arrive; a caller about
+to tabulate up to some n sizes it once beforehand with
+``shared_cusp_table``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable, NamedTuple
 
 from .arith import check_int, sigma_table
 from .errors import NonIntegralResult
-from .eta import CuspTable
+from .eta import _cusp_series, shared_cusp_table
 
 Pair = tuple[int, int]
 
@@ -161,30 +162,18 @@ FORMULAS: dict[Pair, TermTable] = {
 
 CLOSED_FORM_PAIRS: tuple[Pair, ...] = tuple(FORMULAS)
 
-_shared_table: CuspTable | None = None
-
-
-def shared_cusp_table(min_order: int) -> CuspTable:
-    """Module-wide cusp table, regrown monotonically as larger n arrive."""
-    global _shared_table
-    check_int("shared_cusp_table", "min_order", min_order, 1)
-    if _shared_table is None or _shared_table.order < min_order:
-        current = 0 if _shared_table is None else _shared_table.order
-        _shared_table = CuspTable(max(min_order, 2 * current, 64))
-    return _shared_table
-
-
 def evaluate(terms: tuple[Term, ...], n: int, label: str) -> int:
     """A closed form at n, summed in integers over the table's denominator.
 
-    Form coefficients come from the shared cusp table, grown to cover n
-    when needed. A nonzero remainder after the one division means a
-    corrupted coefficient table and raises NonIntegralResult.
+    Form coefficients come from the cusp store of ``eta``, grown to cover
+    n when needed, by one unchecked read per form term. A nonzero remainder
+    after the one division means a corrupted coefficient table and raises
+    NonIntegralResult.
     """
     check_int(label, "n", n, 1)
     if not isinstance(terms, TermTable):
         terms = TermTable(terms)
-    table = shared_cusp_table(n)
+    shared_cusp_table(n)
     s1, s3 = sigma_table(1, n), sigma_table(3, n)
     total = 0
     for d, c3, c1, k1, forms in terms.rows:
@@ -193,7 +182,7 @@ def evaluate(terms: tuple[Term, ...], n: int, label: str) -> int:
         m = n // d
         total += c3 * s3[m] + (c1 + k1 * n) * s1[m]
         for j, c in forms:
-            total += c * table.c(j, m)
+            total += c * _cusp_series(j).coeffs[m]
     value, rest = divmod(total, terms.denominator)
     if rest:
         raise NonIntegralResult(f"{label}({n}) evaluated to {Fraction(total, terms.denominator)}")

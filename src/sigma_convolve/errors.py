@@ -1,10 +1,6 @@
 """Exception types raised by the exact-arithmetic core."""
 
 
-class ZeroConstantTerm(ArithmeticError):
-    """Series inversion requires a nonzero constant term."""
-
-
 class BadLeadingTerm(ValueError):
     """Cube root requires a unit leading coefficient at a multiple-of-3 index."""
 

@@ -16,8 +16,10 @@ n f_n = sum_{k=1..n} g_k f_{n-k} with f_0 = 1. Every step is an exact
 integer division, so nothing is inverted and each sum is n f_n, only
 log2(n) bits wider than a coefficient. The body runs only to order - shift.
 
-A ``CuspTable`` expands a generator on its first read, so a table that
-reads two of the nine generators expands only those two.
+The nine level-28 generators C_1 .. C_9 have one coefficient store, here
+and nowhere else: each generator expanded to the store's order, which only
+grows, by ``arith.grown_size``. A generator is expanded on its first read
+after a growth, so a closed form that reads two of the nine expands two.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .arith import check_int, divisors, is_int, normalize, sigma_table
+from .arith import check_int, divisors, grown_size, is_int, normalize, sigma_table
 from .errors import FractionalExponent, NegativeValuation, OutOfRange
 from .qseries import QSeries
 
@@ -213,54 +215,75 @@ CUSP_GENERATORS: dict[int, dict[int, int]] = {
 }
 
 
-def cusp_spec(j: int) -> EtaQuotientSpec:
-    """The eta-quotient spec of the j-th cusp generator, 1 <= j <= 9."""
-    check_int("cusp_spec", "j", j, 1)
+def _check_index(who: str, j: object) -> None:
+    """j must name a generator, 1..9; ValueError naming ``who`` otherwise."""
+    check_int(who, "j", j, 1)
     if j not in CUSP_GENERATORS:
         raise ValueError(f"generator index must be 1..9, got {j}")
+
+
+def cusp_spec(j: int) -> EtaQuotientSpec:
+    """The eta-quotient spec of the j-th cusp generator, 1 <= j <= 9."""
+    _check_index("cusp_spec", j)
     return EtaQuotientSpec(CUSP_LEVEL, CUSP_GENERATORS[j])
 
 
+# the store: j -> C_j expanded to _cusp_view.order, the one order every
+# generator read is expanded to; _cusp_view is the view of the whole store
 _cusp_cache: dict[int, QSeries] = {}
+_cusp_view: CuspTable | None = None
+
+
+def _grow(order: int) -> CuspTable:
+    """The view of the whole store, grown to cover ``order``; expands nothing."""
+    global _cusp_view
+    view = _cusp_view
+    if view is None or view.order < order:
+        view = _cusp_view = CuspTable(grown_size(view.order if view else 0, order))
+    return view
+
+
+def _cusp_series(j: int) -> QSeries:
+    """C_j at the store's order; unchecked, j must be 1..9."""
+    series = _cusp_cache.get(j)
+    order = _cusp_view.order
+    if series is None or series.order < order:
+        series = _cusp_cache[j] = expand(cusp_spec(j), order)
+    return series
 
 
 def c_series(j: int, order: int) -> QSeries:
-    """q-expansion of the j-th cusp generator, cached at the largest order seen."""
-    check_int("c_series", "j", j, 1, "order", order, 0)
-    cached = _cusp_cache.get(j)
-    if cached is None or cached.order < order:
-        cached = expand(cusp_spec(j), order)
-        _cusp_cache[j] = cached
-    return cached.truncate(order)
+    """q-expansion of the j-th cusp generator to ``order``, from the store."""
+    _check_index("c_series", j)
+    check_int("c_series", "order", order, 0)
+    _grow(order)
+    return _cusp_series(j).truncate(order)
 
 
+def shared_cusp_table(min_order: int) -> CuspTable:
+    """The view of the whole store, grown first to cover ``min_order``."""
+    check_int("shared_cusp_table", "min_order", min_order, 1)
+    return _grow(min_order)
+
+
+@dataclass(frozen=True, slots=True)
 class CuspTable:
-    """The nine generator expansions at one order, with indexed access c(j, n).
+    """A read-only view of the store at one order, with indexed access
+    c(j, n); it holds no coefficients."""
 
-    A generator is expanded on its first read and kept.
-    """
+    order: int
 
-    __slots__ = ("order", "_series")
-
-    def __init__(self, order: int):
-        check_int("CuspTable", "order", order, 1)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_series", {})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CuspTable is immutable")
+    def __post_init__(self) -> None:
+        check_int("CuspTable", "order", self.order, 1)
 
     def series(self, j: int) -> QSeries:
-        if j not in self._series:
-            # c_series checks the index before expanding anything
-            self._series[j] = c_series(j, self.order)
-        return self._series[j]
+        return c_series(j, self.order)
 
-    def c(self, j: int, n: int) -> int | Fraction:
+    def c(self, j: int, n: int) -> int:
         """Coefficient c_j(n), zero-extended to n < 1."""
-        series = self.series(j)
-        if n < 1:
-            return 0
+        _check_index("CuspTable.c", j)
+        check_int("CuspTable.c", "n", n)
         if n > self.order:
             raise OutOfRange(f"coefficient {n} beyond table order {self.order}")
-        return series.coeffs[n]
+        _grow(self.order)
+        return _cusp_series(j).coeffs[n] if n > 0 else 0

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .arith import check_int, exact_div, normalize, over_common_denominator
-from .errors import BadLeadingTerm, OutOfRange, ZeroConstantTerm
+from .errors import BadLeadingTerm, OutOfRange
 
 Coeff = int | Fraction
 
@@ -171,21 +171,6 @@ class QSeries:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a = self._coeffs
-        if a[0] == 0:
-            raise ZeroConstantTerm("cannot invert a series with constant term 0")
-        n = self.order
-        b: list[Coeff] = [exact_div(1, a[0])]
-        for k in range(1, n + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                if a[i]:
-                    acc += a[i] * b[k - i]
-            b.append(exact_div(-acc, a[0]) if acc else 0)
-        return QSeries(b, n)
 
     def substitute_power(self, t: int) -> "QSeries":
         """a(q^t) truncated to the original order."""

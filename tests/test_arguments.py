@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from sigma_convolve import arith, convolution, eta
+from sigma_convolve import arith, eta
 from sigma_convolve.arith import divisors, prime_factors, sigma, sigma_scaled, sigma_table
 from sigma_convolve.convolution import (
     FORMULAS,
@@ -78,6 +78,8 @@ CASES = [
     ("c_series", "j", 1, lambda v: c_series(v, 10)),
     ("c_series", "order", 0, lambda v: c_series(1, v)),
     ("CuspTable", "order", 1, CuspTable),
+    ("CuspTable.c", "j", 1, lambda v: CuspTable(10).c(v, 1)),
+    ("CuspTable.c", "n", None, lambda v: CuspTable(10).c(1, v)),
     ("TermTable", "d", 1, lambda v: TermTable([Term("sigma3", 0, v, Fraction(1))])),
     ("shared_cusp_table", "min_order", 1, shared_cusp_table),
     ("W(1,7)", "n", 1, lambda v: evaluate(FORMULAS[(1, 7)], v, "W(1,7)")),
@@ -124,16 +126,16 @@ def bad_values(least):
 
 
 def module_tables():
-    return (dict(arith._sigma_tables), dict(eta._cusp_cache), convolution._shared_table)
+    return (dict(arith._sigma_tables), dict(eta._cusp_cache), eta._cusp_view)
 
 
 def assert_unchanged(before):
-    sigma_before, cusp_before, shared_before = before
+    sigma_before, cusp_before, view_before = before
     assert arith._sigma_tables.keys() == sigma_before.keys()
     assert all(arith._sigma_tables[k] is t for k, t in sigma_before.items())
     assert eta._cusp_cache.keys() == cusp_before.keys()
     assert all(eta._cusp_cache[j] is s for j, s in cusp_before.items())
-    assert convolution._shared_table is shared_before
+    assert eta._cusp_view is view_before
 
 
 @pytest.mark.parametrize(

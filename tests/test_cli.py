@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from sigma_convolve import cli, convolution, eta, modforms
+from sigma_convolve import cli, eta, modforms
 from sigma_convolve.cli import (
     EXIT_DOMAIN,
     EXIT_IDENTITY,
@@ -30,7 +30,6 @@ from sigma_convolve.cli import (
     main,
 )
 from sigma_convolve.deltaforms import delta_4_7_eta
-from sigma_convolve.eta import CuspTable
 from sigma_convolve.modforms import KNOWN_DECOMPOSITIONS, CoeffVector
 
 
@@ -321,26 +320,18 @@ def test_eta_rejects_negative_terms(capsys):
 # -- shared cusp table -------------------------------------------------
 
 
-@pytest.mark.parametrize("argv, order", [
-    (("wab", "--a", "2", "--b", "14", "--n-max", "300", "--mode", "formula"), 150),
-    (("r7", "--n-max", "200", "--mode", "all"), 200),
-    (("verify", "--order", "100"), 100),
+@pytest.mark.parametrize("argv, order, generators", [
+    (("wab", "--a", "2", "--b", "14", "--n-max", "300", "--mode", "formula"), 150, {1, 2}),
+    (("r7", "--n-max", "200", "--mode", "all"), 200, set(range(1, 10))),
+    (("verify", "--order", "100"), 100, set(range(1, 10))),
 ])
-def test_cli_builds_the_cusp_table_once(capsys, monkeypatch, argv, order):
-    # each command sizes the shared table before its row loop; grown row by
-    # row it would be rebuilt at every doubling
-    monkeypatch.setattr(convolution, "_shared_table", None)
-    built = []
-    init = CuspTable.__init__
-
-    def counting_init(self, n):
-        built.append(n)
-        init(self, n)
-
-    monkeypatch.setattr(CuspTable, "__init__", counting_init)
+def test_cli_builds_the_cusp_table_once(capsys, fresh_cusp_store, argv, order, generators):
+    # each command sizes the cusp store before its row loop; grown row by
+    # row it would expand every generator it reads again at each doubling
     code, _, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
-    assert built == [order]
+    reads = sorted((j, n) for j, n in fresh_cusp_store if isinstance(j, int))
+    assert reads == [(j, order) for j in sorted(generators)]
 
 
 @pytest.mark.parametrize("argv, expanded", [
@@ -348,9 +339,8 @@ def test_cli_builds_the_cusp_table_once(capsys, monkeypatch, argv, order):
     (("wab", "--a", "2", "--b", "7", "--n-max", "200", "--mode", "formula"), {2, 3, 4}),
     (("r7", "--n-max", "200", "--mode", "closed"), set(range(1, 10))),
 ])
-def test_cli_expands_only_the_generators_its_table_reads(capsys, monkeypatch, argv, expanded):
-    monkeypatch.setattr(convolution, "_shared_table", None)
-    monkeypatch.setattr(eta, "_cusp_cache", {})
+def test_cli_expands_only_the_generators_its_table_reads(capsys, fresh_cusp_store, argv,
+                                                          expanded):
     code, _, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert set(eta._cusp_cache) == expanded

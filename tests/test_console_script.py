@@ -1,0 +1,28 @@
+"""The ``[project.scripts]`` entry of ``pyproject.toml``, resolved by import
+and run in a fresh interpreter the way an installed ``sigma-convolve``
+script runs it: ``sys.exit(main())`` with the arguments in ``sys.argv``."""
+
+import importlib
+import os
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_console_script_entry_runs_verify():
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"sigma-convolve": "sigma_convolve.cli:main"}
+    module, _, name = scripts["sigma-convolve"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
+    runner = (f"import sys; from {module} import {name}; "
+              f"sys.argv[0] = 'sigma-convolve'; sys.exit({name}())")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("SIGMA_CONVOLVE_ORDER", None)
+    proc = subprocess.run([sys.executable, "-c", runner, "verify", "--order", "40"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(" identities verified\n")
+    assert "FAIL" not in proc.stdout

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sigma_convolve.convolution as convolution
-from sigma_convolve.arith import sigma, sigma_scaled, sigma_table
+import sigma_convolve.eta as eta
+from sigma_convolve.arith import grown_size, sigma, sigma_scaled, sigma_table
 from sigma_convolve.convolution import (
     CLOSED_FORM_PAIRS,
     FORMULAS,
@@ -21,6 +22,7 @@ from sigma_convolve.convolution import (
 from sigma_convolve.deltaforms import LEMIRE_1_7, ROYER_1_14, w_1_14_royer
 from sigma_convolve.eisenstein import l_combination
 from sigma_convolve.errors import NonIntegralResult
+from sigma_convolve.eta import c_series
 from sigma_convolve.representations import R7_CLOSED, R7_CLOSED_RAW, r7_closed
 
 REFERENCE_N = 200
@@ -150,20 +152,31 @@ def test_non_integral_result_on_corrupted_table(monkeypatch):
             w_formula((1, 7), n)
 
 
-def test_shared_cusp_table_grows(monkeypatch):
-    monkeypatch.setattr(convolution, "_shared_table", None)
+def test_shared_cusp_table_grows(fresh_cusp_store):
     small = shared_cusp_table(10)
-    assert small.order >= 10
+    assert small.order == 64 and eta._cusp_view is small
     bigger = shared_cusp_table(small.order + 1)
-    assert bigger.order > small.order
-    again = shared_cusp_table(5)
-    assert again is bigger
+    assert bigger.order == 128
+    assert shared_cusp_table(5) is bigger
+    assert fresh_cusp_store == []  # sizing the store expands nothing
 
 
-def test_w_formula_uses_shared_table_by_default(monkeypatch):
-    monkeypatch.setattr(convolution, "_shared_table", None)
+def test_w_formula_uses_shared_table_by_default(fresh_cusp_store):
     assert w_formula((1, 7), 8) == 1
-    assert convolution._shared_table is not None
+    assert eta._cusp_view.order == 64
+    assert fresh_cusp_store == [(1, 64), (2, 64)]
+
+
+def test_c_series_and_evaluate_grow_one_store_by_one_rule(fresh_cusp_store):
+    c_series(1, 100)
+    c_series(1, 101)  # past the store: it doubles, as the sigma tables do
+    assert fresh_cusp_store == [(1, 100), (1, 200)]
+    assert eta._cusp_view.order == grown_size(100, 101) == 200
+    c1_only = (Term("form", 1, 1, Fraction(1)),)
+    c1 = c_series(1, 200).coeffs
+    for n in (1, 101, 150, 200):
+        assert evaluate(c1_only, n, "C1") == c1[n]
+    assert fresh_cusp_store == [(1, 100), (1, 200)]
 
 
 # the nine published closed forms, by the label their callers pass

@@ -1,6 +1,6 @@
 import pytest
 
-import sigma_convolve.convolution as convolution
+import sigma_convolve.eta as eta
 from sigma_convolve.convolution import DELTA_FORMS, evaluate, w_brute, w_formula
 from sigma_convolve.deltaforms import (
     CUBE_BRACKET_LEVEL,
@@ -114,16 +114,15 @@ def test_lemire_matches_brute_and_closed_form():
         assert value == w_formula((1, 7), n), n
 
 
-def test_royer_and_lemire_default_to_shared_cusp_table(monkeypatch):
-    monkeypatch.setattr(convolution, "_shared_table", None)
+def test_royer_and_lemire_default_to_shared_cusp_table(fresh_cusp_store):
     assert w_1_14_royer(15) == 1
-    first = convolution._shared_table
+    first = eta._cusp_view
     assert first is not None and first.order >= 15
     assert w_1_7_lemire(8) == 1
-    assert convolution._shared_table is first
+    assert eta._cusp_view is first
     n = first.order + 10
     assert w_1_7_lemire(n) == w_brute(1, 7, n)
-    grown = convolution._shared_table
+    grown = eta._cusp_view
     assert grown.order >= n
     assert w_1_14_royer(grown.order + 1) == w_brute(1, 14, grown.order + 1)
-    assert convolution._shared_table.order > grown.order
+    assert eta._cusp_view.order > grown.order

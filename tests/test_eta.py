@@ -20,13 +20,15 @@ from sigma_convolve.eta import (
 from sigma_convolve.modforms import matrix_rank
 from sigma_convolve.qseries import QSeries
 
+from test_qseries import series_inverse
+
 
 def naive_product_body(delta: int, r: int, order: int) -> QSeries:
     """Test-local oracle: multiply the (1 - q^(delta*n)) factors directly."""
     acc = QSeries.one(order)
     for n in range(1, order // delta + 1):
         acc = acc * (QSeries.one(order) - QSeries.monomial(delta * n, order))
-    return acc ** abs(r) if r >= 0 else (acc ** (-r)).inverse()
+    return acc ** abs(r) if r >= 0 else series_inverse(acc ** (-r))
 
 
 def test_spec_validation():
@@ -134,7 +136,7 @@ def full_order_expand(spec: EtaQuotientSpec, order: int) -> QSeries:
         # the pentagonal expansion of P(q^delta) at the full order
         factor = pentagonal_product(order).substitute_power(delta) ** abs(r)
         if r < 0:
-            factor = factor.inverse()
+            factor = series_inverse(factor)
         body = body * factor
     shift = spec.offset24() // 24
     return QSeries([0] * min(shift, order + 1) + list(body.coeffs), order)
@@ -194,18 +196,25 @@ def test_cusp_table_rejects_bad_orders(order):
         CuspTable(order)
 
 
-def test_cusp_table_expands_a_generator_on_first_read(monkeypatch):
-    monkeypatch.setattr(eta, "_cusp_cache", {})
+def test_cusp_table_expands_a_generator_on_first_read(fresh_cusp_store):
     table = CuspTable(50)
-    assert eta._cusp_cache == {}
     with pytest.raises(ValueError):
         table.c(10, 1)
     with pytest.raises(ValueError):
         table.series(0)
-    assert eta._cusp_cache == {}
+    assert eta._cusp_cache == {} and eta._cusp_view is None
     assert table.c(3, 3) == 1
-    assert set(eta._cusp_cache) == {3}
-    assert table.series(3) is table.series(3)
+    assert set(eta._cusp_cache) == {3} and eta._cusp_view.order == 64
+    assert table.series(3) == table.series(3) == c_series(3, 64).truncate(50)
+    assert fresh_cusp_store == [(3, 64)]  # the store's order, read once
+
+
+def test_cusp_table_is_a_view_of_the_store():
+    table = CuspTable(40)
+    assert not hasattr(table, "__dict__") and table.__slots__ == ("order",)
+    with pytest.raises(AttributeError):
+        table.order = 41
+    assert table.c(1, 40) == eta._cusp_cache[1].coeffs[40]
 
 
 def test_expand_examples():
