@@ -20,8 +20,6 @@ from .convolution import (
 from .deltaforms import (
     cube_bracket,
     delta_4_7_cuberoot,
-    delta_4_7_eta,
-    delta_4_14,
     delta_series,
     w_1_7_lemire,
     w_1_14_royer,
@@ -96,9 +94,7 @@ __all__ = [
     "cube_bracket",
     "cusp_spec",
     "decompose",
-    "delta_4_14",
     "delta_4_7_cuberoot",
-    "delta_4_7_eta",
     "delta_series",
     "divisors",
     "evaluate",

@@ -7,9 +7,12 @@ form coefficients), decompose (basis coordinates as JSON).
 wab, r7 and delta print through one tabulator, which takes an ordered map
 from column header to a function of n. Two or more columns evaluate one
 quantity different ways: the table then gains a match column, and any
-disagreement exits 2. Each verify identity is a check at a given order;
-the suite runs it at the requested order raised to the identity's Sturm
-bound, or to 3 for the cube-root consistency check, which has none.
+disagreement exits 2. Rows are evaluated from the largest n down and
+printed in ascending order, so the first row builds each doubling library
+table (the cusp store, the sigma sieves) once, at the size it needs. Each
+verify identity is a check at a given order; the suite runs it at the
+requested order raised to the identity's Sturm bound, or to 3 for the
+cube-root consistency check, which has none.
 
 Exit codes: 0 success, 1 usage error, 2 table mismatch, 3 identity
 failure, 4 domain error (for example a fractional q-power). The
@@ -90,19 +93,21 @@ def _emit(fmt: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> 
 
 
 def _tabulate(fmt: str, n_max: int, columns: dict[str, Callable[[int], object]]) -> int:
-    """Print one row per n = 1..n_max with a value per column. Two or more
+    """Print one row per n = 1..n_max with a value per column, evaluated
+    from n_max down so each doubling table is built once. Two or more
     columns are evaluations of one quantity: a match column is appended and
     any disagreement exits EXIT_MISMATCH."""
     compare = len(columns) > 1
     rows: list[list[object]] = []
     mismatch = False
-    for n in range(1, n_max + 1):
+    for n in range(n_max, 0, -1):
         values = [fn(n) for fn in columns.values()]
         rows.append([n, *values])
         if compare:
             ok = all(v == values[0] for v in values)
             mismatch = mismatch or not ok
             rows[-1].append(int(ok))
+    rows.reverse()
     _emit(fmt, ["n", *columns, *(["match"] if compare else [])], rows)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
@@ -123,15 +128,12 @@ def cmd_wab(args: argparse.Namespace) -> int:
 
     columns: dict[str, Callable[[int], object]] = {}
     if args.mode in ("formula", "both"):
-        g, reduced = convolution.reduced_pair(a, b)
+        _, reduced = convolution.reduced_pair(a, b)
         if reduced not in convolution.FORMULAS:
             sys.stderr.write(
                 f"no closed form for pair ({a},{b}) (reduces to {reduced})\n"
             )
             return EXIT_DOMAIN
-        # size the cusp store once: grown row by row, it would re-expand
-        # every generator it reads at each doubling
-        convolution.shared_cusp_table(max(1, n_max // g))
         columns["w_formula"] = lambda n: convolution.w_reduce(a, b, n)
     if args.mode in ("brute", "both"):
         columns["w_brute"] = lambda n: convolution.w_brute(a, b, n)
@@ -163,8 +165,8 @@ def _check_cube(order: int) -> bool:
 
 
 def _check_vs_brute(formula: Callable[[int], int], pair: tuple[int, int], order: int) -> bool:
-    convolution.shared_cusp_table(order)  # one build, as in cmd_wab
-    return all(formula(n) == convolution.w_brute(*pair, n) for n in range(1, order + 1))
+    # largest n first, as in _tabulate, so each doubling table is built once
+    return all(formula(n) == convolution.w_brute(*pair, n) for n in range(order, 0, -1))
 
 
 # (name, Sturm bound or None, check(order) -> ok). cmd_verify runs each
@@ -176,7 +178,7 @@ _IDENTITY_SUITE: list[tuple[str, int | None, Callable[[int], bool]]] = [
      sturm_bound(representations.SHIFT_IDENTITY_LEVEL),
      lambda o: representations.verify_cusp_shift_identity(o)),
     ("cube root vs eta combination", sturm_bound(7),
-     lambda o: deltaforms.delta_4_7_cuberoot(o) == deltaforms.delta_4_7_eta(o)),
+     lambda o: deltaforms.delta_4_7_cuberoot(o) == deltaforms.delta_series("4,7", o)),
     ("cube root consistency", None, _check_cube),
     ("level-14 formula vs brute force", sturm_bound(14),
      lambda o: _check_vs_brute(deltaforms.w_1_14_royer, (1, 14), o)),
@@ -257,8 +259,6 @@ def cmd_eta(args: argparse.Namespace) -> int:
 def cmd_r7(args: argparse.Namespace) -> int:
     n_max = _require_at_least(args.n_max, "--n-max", 1)
     modes = ("closed", "via-w", "enumerate") if args.mode == "all" else (args.mode,)
-    if {"closed", "via-w"} & set(modes):
-        convolution.shared_cusp_table(n_max)  # one build, as in cmd_wab
     evaluators = {
         "closed": representations.r7_closed,
         "via-w": representations.r7_via_w,

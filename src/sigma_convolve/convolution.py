@@ -20,9 +20,9 @@ built: L, the lcm of every coefficient's denominator, and the coefficients
 times L, grouped by d. ``evaluate`` sums those integers at n and divides
 once by L, so no rational arithmetic runs per query; a nonzero remainder
 means a corrupted table. It reads every c_j from the one cusp coefficient
-store of ``eta``, which grows by doubling as larger n arrive; a caller about
-to tabulate up to some n sizes it once beforehand with
-``shared_cusp_table``.
+store of ``eta``, which grows by doubling as larger n arrive; a caller that
+tabulates up to some n evaluates the largest n first, so the store and the
+sigma tables are built once.
 """
 
 from __future__ import annotations

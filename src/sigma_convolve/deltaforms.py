@@ -64,20 +64,6 @@ def delta_series(form: str, order: int) -> QSeries:
     )
 
 
-def delta_4_7_eta(order: int) -> QSeries:
-    """The level-7 form as the eta-quotient combination C_1 + 4 C_2."""
-    check_int("delta_4_7_eta", "order", order, 0)
-    return delta_series("4,7", order)
-
-
-def delta_4_14(which: int, order: int) -> QSeries:
-    """The two level-14 forms: 1 -> -C_3 + C_4, 2 -> -4 C_2 + C_3 + C_4."""
-    check_int("delta_4_14", "which", which, 1, "order", order, 0)
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which}")
-    return delta_series(f"4,14,{which}", order)
-
-
 # bench/tracer.py looks up TauTables.at_order by name and fails when the
 # name is missing; drop this alias once the tracer skips absent owners.
 TauTables = CuspTable

@@ -276,9 +276,6 @@ class CuspTable:
     def __post_init__(self) -> None:
         check_int("CuspTable", "order", self.order, 1)
 
-    def series(self, j: int) -> QSeries:
-        return c_series(j, self.order)
-
     def c(self, j: int, n: int) -> int:
         """Coefficient c_j(n), zero-extended to n < 1."""
         _check_index("CuspTable.c", j)

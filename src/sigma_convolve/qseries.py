@@ -103,6 +103,7 @@ class QSeries:
 
     def truncate(self, order: int) -> "QSeries":
         """Copy truncated to a smaller (or equal) order."""
+        check_int("QSeries.truncate", "order", order, 0)
         if order > self.order:
             raise OutOfRange(f"cannot extend order {self.order} to {order}")
         if order == self.order:

@@ -20,7 +20,7 @@ from sigma_convolve.convolution import (
 from sigma_convolve.deltaforms import (
     cube_bracket,
     delta_4_7_cuberoot,
-    delta_4_7_eta,
+    delta_series,
     w_1_14_royer,
 )
 from sigma_convolve.eisenstein import l_combination, l_series
@@ -126,7 +126,7 @@ def test_criterion_05_cusp_shift_identity():
 
 def test_criterion_06_cube_root_identity():
     root = delta_4_7_cuberoot(100)
-    ok = root == delta_4_7_eta(100)
+    ok = root == delta_series("4,7", 100)
     ok = ok and (root ** 3).equal_up_to(cube_bracket(100), 100)
     _report(
         6,

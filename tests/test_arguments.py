@@ -23,8 +23,6 @@ from sigma_convolve.convolution import (
 from sigma_convolve.deltaforms import (
     cube_bracket,
     delta_4_7_cuberoot,
-    delta_4_7_eta,
-    delta_4_14,
     delta_series,
     w_1_7_lemire,
     w_1_14_royer,
@@ -67,6 +65,7 @@ CASES = [
     ("QSeries.linear_combination", "order", 0,
      lambda v: QSeries.linear_combination([(SERIES, 2)], v)),
     ("QSeries.coefficient", "n", None, SERIES.coefficient),
+    ("QSeries.truncate", "order", 0, SERIES.truncate),
     ("QSeries.equal_up_to", "bound", 0, lambda v: SERIES.equal_up_to(SERIES, v)),
     ("QSeries.__pow__", "e", 0, lambda v: SERIES ** v),
     ("QSeries.substitute_power", "t", 1, SERIES.substitute_power),
@@ -102,9 +101,6 @@ CASES = [
     ("cube_bracket", "order", 0, cube_bracket),
     ("delta_4_7_cuberoot", "order", 3, delta_4_7_cuberoot),
     ("delta_series", "order", 0, lambda v: delta_series("4,7", v)),
-    ("delta_4_7_eta", "order", 0, delta_4_7_eta),
-    ("delta_4_14", "which", 1, lambda v: delta_4_14(v, 10)),
-    ("delta_4_14", "order", 0, lambda v: delta_4_14(1, v)),
     ("W(1,14)", "n", 1, w_1_14_royer),
     ("W(1,7)", "n", 1, w_1_7_lemire),
     ("r4_jacobi", "n", None, r4_jacobi),

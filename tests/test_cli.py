@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from sigma_convolve import cli, eta, modforms
+from sigma_convolve import arith, cli, deltaforms, eta, modforms
 from sigma_convolve.cli import (
     EXIT_DOMAIN,
     EXIT_IDENTITY,
@@ -29,7 +29,7 @@ from sigma_convolve.cli import (
     ORDER_ENV_VAR,
     main,
 )
-from sigma_convolve.deltaforms import delta_4_7_eta
+from sigma_convolve.deltaforms import delta_series
 from sigma_convolve.modforms import KNOWN_DECOMPOSITIONS, CoeffVector
 
 
@@ -139,6 +139,19 @@ def test_wab_mismatch_exits_2(capsys, monkeypatch):
     )
     assert code == EXIT_MISMATCH
     assert out.splitlines()[1] == "1,999,0,0"
+
+
+def test_tabulate_evaluates_from_the_largest_n_and_prints_ascending(capsys):
+    seen = []
+
+    def square(n):
+        seen.append(n)
+        return n * n
+
+    code = cli._tabulate("csv", 4, {"a": square, "b": lambda n: 0 if n == 2 else n * n})
+    assert code == EXIT_MISMATCH
+    assert seen == [4, 3, 2, 1]
+    assert capsys.readouterr().out == "n,a,b,match\n1,1,1,1\n2,4,0,0\n3,9,9,1\n4,16,16,1\n"
 
 
 # -- verify -----------------------------------------------------------
@@ -326,12 +339,47 @@ def test_eta_rejects_negative_terms(capsys):
     (("verify", "--order", "100"), 100, set(range(1, 10))),
 ])
 def test_cli_builds_the_cusp_table_once(capsys, fresh_cusp_store, argv, order, generators):
-    # each command sizes the cusp store before its row loop; grown row by
-    # row it would expand every generator it reads again at each doubling
+    # each command reads its largest n first, so the store grows once; grown
+    # row by row it would expand every generator it reads again at each doubling
     code, _, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     reads = sorted((j, n) for j, n in fresh_cusp_store if isinstance(j, int))
     assert reads == [(j, order) for j in sorted(generators)]
+
+
+@pytest.fixture
+def grown_sizes(monkeypatch, fresh_cusp_store) -> list:
+    """Empty sigma tables and cusp store, and each ``grown_size`` call as
+    (have, need). Every sigma table and the store grow by it, so a table
+    read at its largest index first makes one call, from empty (have <= 0)."""
+    monkeypatch.setattr(arith, "_sigma_tables", {})
+    sizes = []
+    grown_size = arith.grown_size
+
+    def recording_grown_size(have, need):
+        sizes.append((have, need))
+        return grown_size(have, need)
+
+    monkeypatch.setattr(eta, "grown_size", recording_grown_size)
+    monkeypatch.setattr(arith, "grown_size", recording_grown_size)
+    return sizes
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (("wab", "--a", "3", "--b", "11", "--n-max", "5000", "--mode", "brute"), 1),
+    (("wab", "--a", "1", "--b", "28", "--n-max", "1000", "--mode", "both"), 3),
+    (("wab", "--a", "2", "--b", "56", "--n-max", "1500", "--mode", "formula"), 3),
+    (("r7", "--n-max", "700", "--mode", "all"), 3),
+])
+def test_cli_builds_each_table_once(capsys, grown_sizes, argv, builds):
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(grown_sizes) == builds and all(have <= 0 for have, _ in grown_sizes), grown_sizes
+
+
+def test_formula_vs_brute_check_builds_each_table_once(grown_sizes):
+    assert cli._check_vs_brute(deltaforms.w_1_7_lemire, (1, 7), 500)
+    assert len(grown_sizes) == 3 and all(have <= 0 for have, _ in grown_sizes), grown_sizes
 
 
 @pytest.mark.parametrize("argv, expanded", [
@@ -408,7 +456,7 @@ def test_delta_4_7_matches_library(capsys):
     assert lines[0] == "n,coefficient"
     assert lines[1] == "1,1"
     assert lines[2] == "2,-1"
-    series = delta_4_7_eta(6)
+    series = delta_series("4,7", 6)
     for n in range(1, 7):
         assert lines[n] == f"{n},{series.coefficient(n)}"
 

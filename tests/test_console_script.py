@@ -4,16 +4,19 @@ script runs it: ``sys.exit(main())`` with the arguments in ``sys.argv``."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_console_script_entry_runs_verify():
-    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    # read without tomllib, which needs Python 3.11; the package supports 3.10
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(re.findall(r'^([\w-]+) = "([^"]*)"$', section, re.M))
     assert scripts == {"sigma-convolve": "sigma_convolve.cli:main"}
     module, _, name = scripts["sigma-convolve"].partition(":")
     assert callable(getattr(importlib.import_module(module), name))

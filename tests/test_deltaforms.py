@@ -8,8 +8,6 @@ from sigma_convolve.deltaforms import (
     ROYER_1_14,
     cube_bracket,
     delta_4_7_cuberoot,
-    delta_4_7_eta,
-    delta_4_14,
     delta_series,
     w_1_14_royer,
     w_1_7_lemire,
@@ -40,7 +38,7 @@ def test_cuberoot_leading_coefficients():
 
 
 def test_cuberoot_equals_eta_combination():
-    assert delta_4_7_cuberoot(100) == delta_4_7_eta(100)
+    assert delta_4_7_cuberoot(100) == delta_series("4,7", 100)
 
 
 def test_cuberoot_cubes_back_to_bracket():
@@ -49,19 +47,19 @@ def test_cuberoot_cubes_back_to_bracket():
 
 
 def test_delta_4_7_eta_values():
-    series = delta_4_7_eta(6)
+    series = delta_series("4,7", 6)
     assert series.coefficient(1) == 1
     assert series.coefficient(2) == -1  # c1(2) + 4 c2(2) = -5 + 4
 
 
 def test_delta_4_14_values():
-    d1 = delta_4_14(1, 8)
-    d2 = delta_4_14(2, 8)
+    d1 = delta_series("4,14,1", 8)
+    d2 = delta_series("4,14,2", 8)
     assert d1.coefficient(0) == 0 and d2.coefficient(0) == 0
     assert d1.coefficient(1) == 1
     assert d2.coefficient(1) == 1
-    with pytest.raises(ValueError):
-        delta_4_14(3, 8)
+    with pytest.raises(ValueError, match="unknown form"):
+        delta_series("4,14,3", 8)
 
 
 def test_delta_series_rejects_unknown_form():
@@ -107,7 +105,7 @@ def test_lemire_formula_examples():
 
 
 def test_lemire_matches_brute_and_closed_form():
-    assert delta_4_7_cuberoot(300) == delta_4_7_eta(300)
+    assert delta_4_7_cuberoot(300) == delta_series("4,7", 300)
     for n in range(1, 301):
         value = w_1_7_lemire(n)
         assert value == w_brute(1, 7, n), n
