@@ -15,17 +15,14 @@ requested order raised to the identity's Sturm bound, or to 3 for the
 cube-root consistency check, which has none.
 
 Exit codes: 0 success, 1 usage error, 2 table mismatch, 3 identity
-failure, 4 domain error (for example a fractional q-power). The
-SIGMA_CONVOLVE_ORDER environment variable overrides the default
-truncation order of verify and decompose when their flags are absent.
-All arithmetic lives in the library modules.
+failure, 4 domain error (for example a fractional q-power). All
+arithmetic lives in the library modules.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -52,8 +49,6 @@ EXIT_MISMATCH = 2
 EXIT_IDENTITY = 3
 EXIT_DOMAIN = 4
 
-ORDER_ENV_VAR = "SIGMA_CONVOLVE_ORDER"
-
 
 class CliUsageError(Exception):
     pass
@@ -64,17 +59,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CliUsageError(message)
-
-
-def _env_default(fallback: int) -> int:
-    raw = os.environ.get(ORDER_ENV_VAR)
-    if raw is None:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliUsageError(f"{ORDER_ENV_VAR} must be an integer, got {raw!r}")
-    return _require_at_least(value, ORDER_ENV_VAR, 1)
 
 
 def _json_scalar(v: object) -> object:
@@ -148,8 +132,10 @@ def _decompose(
 ) -> tuple[Basis28, QSeries, CoeffVector]:
     """Basis and squared Eisenstein combination at the given order, and the
     target's coordinates solved from its first ``rows`` coefficients."""
-    basis = Basis28.at_order(order)
+    # the target reads the sigma sieve to order, the basis only below it:
+    # built first, the target builds the sieve once
     target = l_combination(pair[0], pair[1], order) ** 2
+    basis = Basis28.at_order(order)
     return basis, target, decompose(target, basis, rows)
 
 
@@ -160,7 +146,7 @@ def _check_decomposition(pair: tuple[int, int], order: int) -> bool:
 
 def _check_cube(order: int) -> bool:
     bracket = deltaforms.cube_bracket(order + 2)
-    root = bracket.cube_root(3)
+    root = bracket.cube_root()
     return (root ** 3).equal_up_to(bracket.truncate(order), order)
 
 
@@ -317,7 +303,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_wab)
 
     p = sub.add_parser("verify", help="run the identity verification suite")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=int, default=100)
     p.add_argument("--report", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)
 
@@ -341,7 +327,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("decompose", help="basis coordinates of a squared combination")
     p.add_argument("--pair", type=str, required=True)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=int, default=MIN_DECOMPOSE_ORDER)
     p.set_defaults(func=cmd_decompose)
 
     return parser
@@ -351,10 +337,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify" and args.order is None:
-            args.order = _env_default(100)
-        if args.command == "decompose" and args.n_max is None:
-            args.n_max = max(MIN_DECOMPOSE_ORDER, _env_default(MIN_DECOMPOSE_ORDER))
         return args.func(args)
     except CliUsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -61,8 +61,8 @@ class TermTable(tuple):
     coefficients times L, summed by (kind, d, form) into one Row per d.
 
     It is still the tuple of Terms it was built from, so slicing,
-    concatenation and iteration see Terms; a plain tuple built that way is
-    turned into a TermTable by ``evaluate`` on each call.
+    concatenation and iteration see Terms; what they build is a plain
+    tuple, which ``evaluate`` takes only once it is made a TermTable.
     """
 
     denominator: int
@@ -162,8 +162,9 @@ FORMULAS: dict[Pair, TermTable] = {
 
 CLOSED_FORM_PAIRS: tuple[Pair, ...] = tuple(FORMULAS)
 
-def evaluate(terms: tuple[Term, ...], n: int, label: str) -> int:
-    """A closed form at n, summed in integers over the table's denominator.
+def evaluate(terms: TermTable, n: int, label: str) -> int:
+    """A closed form at n, summed in integers over the denominator of its
+    TermTable.
 
     Form coefficients come from the cusp store of ``eta``, grown to cover
     n when needed, by one unchecked read per form term. A nonzero remainder
@@ -171,8 +172,6 @@ def evaluate(terms: tuple[Term, ...], n: int, label: str) -> int:
     NonIntegralResult.
     """
     check_int(label, "n", n, 1)
-    if not isinstance(terms, TermTable):
-        terms = TermTable(terms)
     shared_cusp_table(n)
     s1, s3 = sigma_table(1, n), sigma_table(3, n)
     total = 0
@@ -209,7 +208,9 @@ def w_brute(a: int, b: int, n: int) -> int:
     if m0 > m_max:
         return 0
     l0 = (n - b * m0) // a
-    s = sigma_table(1, max(l0, m_max))
+    # (n - b) // a >= l0 bounds l for every m0 and rises with n, like
+    # m_max, so a table tabulated from its largest n builds the sieve once
+    s = sigma_table(1, max((n - b) // a, m_max))
     # the l slice runs on to l <= 0 (at most s[0] = 0); map stops with the m slice
     return sum(map(mul, s[m0 : m_max + 1 : step_m], s[l0::-step_l]))
 

@@ -47,11 +47,11 @@ def delta_4_7_cuberoot(order: int) -> QSeries:
     """The level-7 cusp form as the cube root of the bracket.
 
     The bracket is expanded two indices past the requested order so the
-    root (leading index 3, hence a 2-index truncation loss) still carries
+    root (valuation 3, hence a 2-index truncation loss) still carries
     every coefficient up to `order`.
     """
     check_int("delta_4_7_cuberoot", "order", order, 3)
-    return cube_bracket(order + 2).cube_root(3)
+    return cube_bracket(order + 2).cube_root()
 
 
 def delta_series(form: str, order: int) -> QSeries:

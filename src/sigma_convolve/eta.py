@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .arith import check_int, divisors, grown_size, is_int, normalize, sigma_table
-from .errors import FractionalExponent, NegativeValuation, OutOfRange
+from .errors import FractionalExponent, NegativeValuation
 from .qseries import QSeries
 
 
@@ -268,19 +268,10 @@ def shared_cusp_table(min_order: int) -> CuspTable:
 
 @dataclass(frozen=True, slots=True)
 class CuspTable:
-    """A read-only view of the store at one order, with indexed access
-    c(j, n); it holds no coefficients."""
+    """A read-only view of the store at one order; it holds no
+    coefficients."""
 
     order: int
 
     def __post_init__(self) -> None:
         check_int("CuspTable", "order", self.order, 1)
-
-    def c(self, j: int, n: int) -> int:
-        """Coefficient c_j(n), zero-extended to n < 1."""
-        _check_index("CuspTable.c", j)
-        check_int("CuspTable.c", "n", n)
-        if n > self.order:
-            raise OutOfRange(f"coefficient {n} beyond table order {self.order}")
-        _grow(self.order)
-        return _cusp_series(j).coeffs[n] if n > 0 else 0

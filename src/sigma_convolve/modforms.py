@@ -91,7 +91,7 @@ class CoeffVector:
 
 
 def _pivot_rows(
-    rows: Iterable[Sequence[int | Fraction]], ncols: int, stop: int
+    rows: Iterable[Sequence[int | Fraction]], ncols: int
 ) -> tuple[list[int], list[list[int]]]:
     """Fraction-free Gauss-Jordan over the first ncols columns: (pivots,
     reduced), with reduced[i] an integer row, divided by its content, that
@@ -100,13 +100,13 @@ def _pivot_rows(
     Rows are scaled to integers and taken in index order, each reduced
     against the pivot rows found so far; a row left nonzero in the first
     ncols columns becomes a pivot row at its first nonzero column, and the
-    earlier pivot rows are cleared there. Elimination stops at stop pivots,
+    earlier pivot rows are cleared there. Elimination stops at ncols pivots,
     so no later row is read.
     """
     pivots: list[int] = []
     reduced: list[list[int]] = []
     for row in rows:
-        if len(pivots) == stop:
+        if len(pivots) == ncols:
             break
         work, _ = over_common_denominator(row)
         for col, prow in zip(pivots, reduced):
@@ -133,8 +133,7 @@ def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Exact rank of a rational matrix."""
     if not rows:
         return 0
-    ncols = len(rows[0])
-    return len(_pivot_rows(rows, ncols, ncols)[0])
+    return len(_pivot_rows(rows, len(rows[0]))[0])
 
 
 def decompose(target: QSeries, basis: Basis28, n_max: int) -> CoeffVector:
@@ -157,7 +156,7 @@ def decompose(target: QSeries, basis: Basis28, n_max: int) -> CoeffVector:
     cols = basis.columns()
     ncols = len(cols)
     rows = list(zip(*(s.coeffs[: n_max + 1] for s in (*cols, target))))
-    pivots, reduced = _pivot_rows(rows, ncols, ncols)
+    pivots, reduced = _pivot_rows(rows, ncols)
     if len(pivots) < ncols:
         raise UnderdeterminedSystem(f"basis rank {len(pivots)} < {ncols} unknowns")
     solution = [Fraction(0)] * ncols

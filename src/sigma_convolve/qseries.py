@@ -184,22 +184,20 @@ class QSeries:
             out[i * t] = self._coeffs[i]
         return QSeries(out, n)
 
-    def cube_root(self, leading_index: int) -> "QSeries":
-        """The series b with b^3 = self and leading term q^(leading_index/3).
+    def cube_root(self) -> "QSeries":
+        """The series b with b^3 = self, leading term q^(v/3) for the
+        valuation v.
 
-        Requires the leading coefficient to sit at ``leading_index`` (all
-        earlier coefficients zero), to equal 1, and 3 | leading_index. The
-        result is truncated to order - 2*(leading_index/3): only coefficients
-        fully determined by the stored part of the input are returned.
+        Requires a nonzero series whose leading coefficient is 1 and whose
+        valuation is a multiple of 3. The result is truncated to
+        order - 2*(v/3): only coefficients fully determined by the stored
+        part of the input are returned.
         """
-        check_int("QSeries.cube_root", "leading_index", leading_index, 0)
-        lead = leading_index
+        lead = self.valuation()
+        if lead is None:
+            raise BadLeadingTerm("the zero series has no leading term")
         if lead % 3 != 0:
-            raise BadLeadingTerm(f"leading index must be a nonnegative multiple of 3, got {lead}")
-        if lead > self.order:
-            raise BadLeadingTerm(f"leading index {lead} exceeds order {self.order}")
-        if any(self._coeffs[i] for i in range(lead)):
-            raise BadLeadingTerm(f"nonzero coefficient below claimed leading index {lead}")
+            raise BadLeadingTerm(f"valuation must be a multiple of 3, got {lead}")
         if self._coeffs[lead] != 1:
             raise BadLeadingTerm(
                 f"leading coefficient must be 1, got {self._coeffs[lead]!r}"

@@ -69,7 +69,6 @@ CASES = [
     ("QSeries.equal_up_to", "bound", 0, lambda v: SERIES.equal_up_to(SERIES, v)),
     ("QSeries.__pow__", "e", 0, lambda v: SERIES ** v),
     ("QSeries.substitute_power", "t", 1, SERIES.substitute_power),
-    ("QSeries.cube_root", "leading_index", 0, SERIES.cube_root),
     ("EtaQuotientSpec", "level", 1, lambda v: EtaQuotientSpec(v, {1: 24})),
     ("EtaQuotientSpec", "level", 1, lambda v: EtaQuotientSpec.from_string(v, "1:24")),
     ("expand", "order", 0, lambda v: expand(SPEC, v)),
@@ -77,8 +76,6 @@ CASES = [
     ("c_series", "j", 1, lambda v: c_series(v, 10)),
     ("c_series", "order", 0, lambda v: c_series(1, v)),
     ("CuspTable", "order", 1, CuspTable),
-    ("CuspTable.c", "j", 1, lambda v: CuspTable(10).c(v, 1)),
-    ("CuspTable.c", "n", None, lambda v: CuspTable(10).c(1, v)),
     ("TermTable", "d", 1, lambda v: TermTable([Term("sigma3", 0, v, Fraction(1))])),
     ("shared_cusp_table", "min_order", 1, shared_cusp_table),
     ("W(1,7)", "n", 1, lambda v: evaluate(FORMULAS[(1, 7)], v, "W(1,7)")),
@@ -154,4 +151,4 @@ def test_zero_extension_holds_for_ints():
     assert r4_jacobi(-1) == 0
     assert r4_enumerate(-1) == 0
     assert r7_enumerate(-1) == 0
-    assert CuspTable(10).c(1, 0) == 0
+    assert c_series(1, 10).coefficient(0) == 0

@@ -26,17 +26,10 @@ from sigma_convolve.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
-    ORDER_ENV_VAR,
     main,
 )
 from sigma_convolve.deltaforms import delta_series
 from sigma_convolve.modforms import KNOWN_DECOMPOSITIONS, CoeffVector
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    # keep ambient configuration from leaking into default-order tests
-    monkeypatch.delenv(ORDER_ENV_VAR, raising=False)
 
 
 def run_cli(capsys, *argv):
@@ -220,34 +213,6 @@ def test_verify_checks_each_identity_at_order_raised_to_its_bound(name, bound, o
     assert r["checked_to"] == max(order, bound or 3)
 
 
-def test_verify_env_var_sets_order(capsys, monkeypatch):
-    monkeypatch.setenv(ORDER_ENV_VAR, "40")
-    code, out, _ = run_cli(capsys, "verify", "--report", "json")
-    assert code == EXIT_OK
-    report = json.loads(out)
-    assert all(r["checked_to"] == 40 for r in report)
-
-
-def test_verify_flag_beats_env_var(capsys, monkeypatch):
-    # an unparseable variable is ignored once --order is explicit
-    monkeypatch.setenv(ORDER_ENV_VAR, "not-a-number")
-    code, _, err = run_cli(capsys, "verify", "--order", "16")
-    assert code == EXIT_OK
-    assert err == ""
-
-
-def test_verify_bad_env_var_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv(ORDER_ENV_VAR, "not-a-number")
-    code, _, err = run_cli(capsys, "verify")
-    assert code == EXIT_USAGE
-    assert ORDER_ENV_VAR in err
-
-    monkeypatch.setenv(ORDER_ENV_VAR, "0")
-    code, _, err = run_cli(capsys, "verify")
-    assert code == EXIT_USAGE
-    assert ">= 1" in err
-
-
 def test_verify_reports_broken_identity(capsys, monkeypatch):
     real = KNOWN_DECOMPOSITIONS[(1, 28)]
     fake = CoeffVector.make(dict(real.x), (real.y[0] + 1,) + real.y[1:])
@@ -370,6 +335,11 @@ def grown_sizes(monkeypatch, fresh_cusp_store) -> list:
     (("wab", "--a", "1", "--b", "28", "--n-max", "1000", "--mode", "both"), 3),
     (("wab", "--a", "2", "--b", "56", "--n-max", "1500", "--mode", "formula"), 3),
     (("r7", "--n-max", "700", "--mode", "all"), 3),
+    # the sieve's top index varies with n mod a; its bound on l does not
+    (("wab", "--a", "4", "--b", "7", "--n-max", "5422", "--mode", "brute"), 1),
+    # sigma_1 to order for the target, then below it for the basis
+    (("verify", "--order", "600", "--report", "json"), 3),
+    (("decompose", "--pair", "1,28", "--n-max", "300"), 3),
 ])
 def test_cli_builds_each_table_once(capsys, grown_sizes, argv, builds):
     code, _, _ = run_cli(capsys, *argv)
@@ -501,13 +471,6 @@ def test_decompose_known_pair(capsys):
     assert payload["y"][2:] == [0] * 7
 
 
-def test_decompose_env_var_order(capsys, monkeypatch):
-    monkeypatch.setenv(ORDER_ENV_VAR, "20")
-    code, out, _ = run_cli(capsys, "decompose", "--pair", "1,7")
-    assert code == EXIT_OK
-    assert json.loads(out)["x"]["1"] == "18/25"
-
-
 def test_decompose_matches_published_table(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--pair", "1,28", "--n-max", "20")
     assert code == EXIT_OK
@@ -538,7 +501,6 @@ def test_decompose_rejects_bad_input(capsys):
 def test_module_entry_point_matches_main(capsys, argv):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    env.pop(ORDER_ENV_VAR, None)
     proc = subprocess.run([sys.executable, "-m", "sigma_convolve.cli", *argv],
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr

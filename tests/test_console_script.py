@@ -23,7 +23,6 @@ def test_console_script_entry_runs_verify():
     runner = (f"import sys; from {module} import {name}; "
               f"sys.argv[0] = 'sigma-convolve'; sys.exit({name}())")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    env.pop("SIGMA_CONVOLVE_ORDER", None)
     proc = subprocess.run([sys.executable, "-c", runner, "verify", "--order", "40"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -145,7 +145,7 @@ def test_formula_tables_shape():
 def test_non_integral_result_on_corrupted_table(monkeypatch):
     good = FORMULAS[(1, 7)]
     assert good[0].kind == "sigma3" and good[0].d == 1
-    bad = (good[0]._replace(const=Fraction(1, 121)),) + good[1:]
+    bad = TermTable((good[0]._replace(const=Fraction(1, 121)),) + good[1:])
     monkeypatch.setitem(FORMULAS, (1, 7), bad)
     with pytest.raises(NonIntegralResult):
         for n in range(1, 50):
@@ -172,7 +172,7 @@ def test_c_series_and_evaluate_grow_one_store_by_one_rule(fresh_cusp_store):
     c_series(1, 101)  # past the store: it doubles, as the sigma tables do
     assert fresh_cusp_store == [(1, 100), (1, 200)]
     assert eta._cusp_view.order == grown_size(100, 101) == 200
-    c1_only = (Term("form", 1, 1, Fraction(1)),)
+    c1_only = TermTable((Term("form", 1, 1, Fraction(1)),))
     c1 = c_series(1, 200).coeffs
     for n in (1, 101, 150, 200):
         assert evaluate(c1_only, n, "C1") == c1[n]
@@ -199,7 +199,7 @@ def fraction_evaluate(terms: tuple[Term, ...], n: int, label: str) -> int:
         if n % d:
             continue
         if kind == "form":
-            total += const * table.c(form, n // d)
+            total += const * c_series(form, table.order).coeffs[n // d]
         elif kind == "sigma3":
             total += const * s3[n // d]
         else:
@@ -302,7 +302,6 @@ def test_evaluate_matches_fraction_reference_on_random_tables(terms):
     table = TermTable(terms)
     for n in range(1, 90):
         expected = _outcome(fraction_evaluate, terms, n)
-        # odd n evaluate the plain tuple, which evaluate converts itself
-        assert _outcome(evaluate, table if n % 2 == 0 else terms, n) == expected, n
+        assert _outcome(evaluate, table, n) == expected, n
         if isinstance(expected, tuple):
             break

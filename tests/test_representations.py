@@ -2,7 +2,7 @@ from math import isqrt
 
 import pytest
 
-from sigma_convolve.convolution import w_formula
+from sigma_convolve.convolution import TermTable, w_formula
 from sigma_convolve.errors import NonIntegralResult
 from sigma_convolve.representations import (
     r4_enumerate,
@@ -131,7 +131,8 @@ def test_r7_closed_raw_rejects_corrupt_table(monkeypatch):
     for name, fn in (("R7_CLOSED", r7_closed), ("R7_CLOSED_RAW", r7_closed_raw)):
         good = getattr(reps, name)
         assert good[0].kind == "sigma3" and good[0].d == 1
-        monkeypatch.setattr(reps, name, (good[0]._replace(const=Fraction(1, 23)),) + good[1:])
+        bad = TermTable((good[0]._replace(const=Fraction(1, 23)),) + good[1:])
+        monkeypatch.setattr(reps, name, bad)
         with pytest.raises(NonIntegralResult):
             for n in range(1, 30):
                 fn(n)
