@@ -221,14 +221,13 @@ def cmd_eta(args: argparse.Namespace) -> int:
     out.write(
         "spec=" + ",".join(f"{d}:{r}" for d, r in spec.exponents.items()) + "\n"
     )
-    out.write(f"weight_k={report.weight_k}\n")
-    out.write(f"s_value={report.s_value}\n")
-    for d, v in report.cusp_orders.items():
-        out.write(f"cusp_order[{d}]={v}\n")
-    for name in ("cond_i", "cond_ii", "cond_iii", "cond_iii_strict", "cond_iv", "cond_v"):
-        out.write(f"{name}={str(getattr(report, name)).lower()}\n")
-    out.write(f"is_modular={str(report.is_modular).lower()}\n")
-    out.write(f"is_cusp={str(report.is_cusp).lower()}\n")
+    for name, value in report._asdict().items():
+        if name == "cusp_orders":
+            for d, v in value.items():
+                out.write(f"cusp_order[{d}]={v}\n")
+        else:
+            # lower() spells the bools true/false and leaves numbers as they are
+            out.write(f"{name}={str(value).lower()}\n")
 
     try:
         series = expand(spec, terms)

@@ -20,31 +20,33 @@ The nine level-28 generators C_1 .. C_9 have one coefficient store, here
 and nowhere else: each generator expanded to the store's order, which only
 grows, by ``arith.grown_size``. A generator is expanded on its first read
 after a growth, so a closed form that reads two of the nine expands two.
+
+A spec, its Ligozat report and a view of the store are NamedTuples: read
+by field name and compared by value. A spec and a view check their fields
+whenever one is built, a copy made by ``_replace`` included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .arith import check_int, divisors, grown_size, is_int, normalize, sigma_table
 from .errors import FractionalExponent, NegativeValuation
 from .qseries import QSeries
 
 
-class EtaQuotientSpec:
+class EtaQuotientSpec(
+    NamedTuple("EtaQuotientSpec", [("level", int), ("exponents", Mapping[int, int])])
+):
     """Level plus a map divisor -> integer exponent (zero entries dropped)."""
 
-    __slots__ = ("level", "exponents")
+    __slots__ = ()
 
-    level: int
-    exponents: Mapping[int, int]
-
-    def __init__(self, level: int, exponents: Mapping[int, int]):
+    def __new__(cls, level: int, exponents: Mapping[int, int]) -> "EtaQuotientSpec":
         check_int("EtaQuotientSpec", "level", level, 1)
         cleaned: dict[int, int] = {}
         for delta, r in sorted(exponents.items()):
@@ -56,11 +58,10 @@ class EtaQuotientSpec:
                 cleaned[delta] = r
         if not cleaned:
             raise ValueError("eta quotient needs at least one nonzero exponent")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "exponents", MappingProxyType(cleaned))
+        return super().__new__(cls, level, MappingProxyType(cleaned))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("EtaQuotientSpec is immutable")
+    # _replace builds its copy through _make: check it like a new spec
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_string(cls, level: int, text: str) -> "EtaQuotientSpec":
@@ -86,12 +87,8 @@ class EtaQuotientSpec:
         """Sum of delta * r_delta: the q-exponent numerator in units of 1/24."""
         return sum(d * r for d, r in self.exponents.items())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EtaQuotientSpec):
-            return NotImplemented
-        return self.level == other.level and dict(self.exponents) == dict(other.exponents)
-
     def __hash__(self) -> int:
+        # a mapping proxy is unhashable, so the exponents hash as item pairs
         return hash((self.level, tuple(self.exponents.items())))
 
     def __repr__(self) -> str:
@@ -99,15 +96,15 @@ class EtaQuotientSpec:
         return f"EtaQuotientSpec(level={self.level}, {body})"
 
 
-@dataclass(frozen=True)
-class LigozatReport:
-    """Outcome of the eta-quotient modularity criterion, condition by condition."""
+class LigozatReport(NamedTuple):
+    """Outcome of the eta-quotient modularity criterion, condition by
+    condition, its fields in the order the CLI prints them."""
 
     weight_k: int | Fraction
     s_value: int | Fraction
+    cusp_orders: Mapping[int, int | Fraction]
     cond_i: bool
     cond_ii: bool
-    cusp_orders: Mapping[int, int | Fraction]
     cond_iii: bool
     cond_iii_strict: bool
     cond_iv: bool
@@ -188,9 +185,9 @@ def ligozat_check(spec: EtaQuotientSpec) -> LigozatReport:
     return LigozatReport(
         weight_k=weight_k,
         s_value=s_value,
+        cusp_orders=MappingProxyType(cusp_orders),
         cond_i=cond_i,
         cond_ii=cond_ii,
-        cusp_orders=MappingProxyType(cusp_orders),
         cond_iii=cond_iii,
         cond_iii_strict=cond_iii_strict,
         cond_iv=cond_iv,
@@ -266,12 +263,15 @@ def shared_cusp_table(min_order: int) -> CuspTable:
     return _grow(min_order)
 
 
-@dataclass(frozen=True, slots=True)
-class CuspTable:
+class CuspTable(NamedTuple("CuspTable", [("order", int)])):
     """A read-only view of the store at one order; it holds no
     coefficients."""
 
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_int("CuspTable", "order", self.order, 1)
+    def __new__(cls, order: int) -> "CuspTable":
+        check_int("CuspTable", "order", order, 1)
+        return super().__new__(cls, order)
+
+    # _replace builds its copy through _make: check it like a new table
+    _make = classmethod(lambda cls, fields: cls(*fields))

@@ -7,16 +7,19 @@ matches coefficients of q^0 .. q^n_max exactly: it solves the square system
 of the first fifteen independent rows in integers, then checks the solution
 against every row, so a wrong target or a transcription slip surfaces as a
 hard error, never as a least-squares fudge.
+
+The basis (``Basis28``) and a solution (``CoeffVector``, built by ``make``,
+which checks its shape and normalises each coordinate) are NamedTuples,
+read by field name and compared by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .arith import check_int, normalize, over_common_denominator, prime_factors
 from .errors import InconsistentSystem, UnderdeterminedSystem
@@ -44,8 +47,7 @@ def sturm_bound(level: int) -> int:
     return -(-bound.numerator // bound.denominator)
 
 
-@dataclass(frozen=True)
-class Basis28:
+class Basis28(NamedTuple):
     """The fifteen basis series, all truncated at one shared order."""
 
     eisenstein_parts: tuple[QSeries, ...]
@@ -64,8 +66,7 @@ class Basis28:
         return self.eisenstein_parts + self.cusp_parts
 
 
-@dataclass(frozen=True)
-class CoeffVector:
+class CoeffVector(NamedTuple):
     """Solved coordinates: x keyed by dilation t, y indexed by generator."""
 
     x: Mapping[int, int | Fraction]

@@ -17,7 +17,8 @@ next and the result is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable
 
 from .arith import check_int, exact_div, normalize, over_common_denominator
 from .errors import BadLeadingTerm, OutOfRange
@@ -203,25 +204,17 @@ class QSeries:
                 f"leading coefficient must be 1, got {self._coeffs[lead]!r}"
             )
         m = lead // 3
-        u = self._coeffs[lead:]  # unit series, u[0] = 1
-        nu = len(u) - 1
+        u = self._coeffs[lead + 1:]  # the unit series u_1, u_2, ..., with u_0 = 1
+        iu = [i * c for i, c in enumerate(u, 1)]
         # r^3 = u with r_0 = 1, by the power recurrence for r = u^(1/3):
-        # 3k r_k = sum_{i=1}^{k} (4i - 3k) u_i r_{k-i}, over the support of u
-        support = [i for i in range(1, nu + 1) if u[i]]
+        # 3k r_k = sum_{i=1}^{k} (4i - 3k) u_i r_{k-i}
+        #        = 4 sum i u_i r_{k-i} - 3k sum u_i r_{k-i}, two dot products
         r: list[Coeff] = [1]
-        for k in range(1, nu + 1):
-            acc: Coeff = 0
-            for i in support:
-                if i > k:
-                    break
-                acc += (4 * i - 3 * k) * u[i] * r[k - i]
+        for k in range(1, len(u) + 1):
+            acc = 4 * sum(map(mul, iu, reversed(r))) - 3 * k * sum(map(mul, u, reversed(r)))
             r.append(exact_div(acc, 3 * k))
-        out_order = self.order - 2 * m
-        out: list[Coeff] = [0] * (out_order + 1)
-        for i, c in enumerate(r):
-            if m + i <= out_order:
-                out[m + i] = c
-        return QSeries(out, out_order)
+        # r_0 .. r_{order - lead} sit at q^m .. q^(order - 2m)
+        return QSeries([0] * m + r, self.order - 2 * m)
 
     # -- comparison and display ---------------------------------------------
 

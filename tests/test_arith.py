@@ -1,8 +1,9 @@
-import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigma_convolve.arith as arith
 from sigma_convolve.arith import (
@@ -154,15 +155,15 @@ def test_exact_div():
     assert exact_div(-8, 2) == -4
 
 
-def test_rational_field_axioms_randomized():
-    rng = random.Random(20260819)
-    for _ in range(200):
-        a, b, c = (
-            Fraction(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(3)
-        )
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a and a * b == b * a
-        if a != 0:
-            assert a * (1 / a) == 1
+rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=rationals, b=rationals, c=rationals)
+def test_rational_field_axioms_randomized(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a and a * b == b * a
+    if a != 0:
+        assert a * (1 / a) == 1

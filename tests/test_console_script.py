@@ -1,6 +1,8 @@
 """The ``[project.scripts]`` entry of ``pyproject.toml``, resolved by import
 and run in a fresh interpreter the way an installed ``sigma-convolve``
-script runs it: ``sys.exit(main())`` with the arguments in ``sys.argv``."""
+script runs it: ``sys.exit(main())`` with the arguments in ``sys.argv``.
+Every CLI call pays the import of the package in a fresh process, so that
+import is checked here too."""
 
 import importlib
 import os
@@ -28,3 +30,15 @@ def test_console_script_entry_runs_verify():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(" identities verified\n")
     assert "FAIL" not in proc.stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, about a fifth of the CLI's import time;
+    # -S keeps site-packages hooks from importing either one first
+    probe = ("import sys, sigma_convolve.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -40,6 +40,12 @@ def test_spec_validation():
         EtaQuotientSpec(28, {1: 0})
     spec = EtaQuotientSpec(28, {1: 5, 2: 0, 7: 5, 14: -10})
     assert dict(spec.exponents) == {1: 5, 7: 5, 14: -10}
+    # a changed copy passes the same checks
+    with pytest.raises(ValueError):
+        spec._replace(level=5)
+    assert spec._replace(level=56) == EtaQuotientSpec(56, spec.exponents)
+    with pytest.raises(AttributeError):
+        spec.level = 56
 
 
 def test_spec_rejects_bool():
@@ -209,9 +215,12 @@ def test_cusp_table_expands_a_generator_on_first_read(fresh_cusp_store):
 
 def test_cusp_table_is_a_view_of_the_store():
     table = CuspTable(40)
-    assert not hasattr(table, "__dict__") and table.__slots__ == ("order",)
+    assert not hasattr(table, "__dict__") and table._fields == ("order",)
     with pytest.raises(AttributeError):
         table.order = 41
+    with pytest.raises(ValueError):
+        table._replace(order=0)
+    assert table._replace(order=41) == CuspTable(41)
     assert c_series(1, table.order).coeffs[40] == eta._cusp_cache[1].coeffs[40]
 
 

@@ -1,5 +1,3 @@
-import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +20,13 @@ from sigma_convolve.modforms import (
     verify_identity,
 )
 from sigma_convolve.qseries import QSeries
+
+coordinates = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 40))
+coeff_vectors = st.builds(
+    lambda x, y: CoeffVector.make(dict(zip(DILATIONS, x)), y),
+    st.lists(coordinates, min_size=6, max_size=6),
+    st.lists(coordinates, min_size=9, max_size=9),
+)
 
 
 def test_sturm_bound_values():
@@ -115,35 +120,29 @@ def test_decompose_basis_element(basis300):
     assert all(v == 0 for v in vec.y)
 
 
-def test_decompose_reconstruct_round_trip(basis300):
-    rng = random.Random(8128)
-    for _ in range(5):
-        vec = CoeffVector.make(
-            {t: Fraction(rng.randint(-99, 99), rng.randint(1, 20)) for t in DILATIONS},
-            [Fraction(rng.randint(-99, 99), rng.randint(1, 20)) for _ in range(9)],
-        )
-        series = reconstruct(vec, basis300)
-        assert decompose(series, basis300, 16) == vec
-        assert decompose(series, basis300, 40) == vec
+@settings(max_examples=5, deadline=None)
+@given(vec=coeff_vectors)
+def test_decompose_reconstruct_round_trip(basis300, vec):
+    series = reconstruct(vec, basis300)
+    assert decompose(series, basis300, 16) == vec
+    assert decompose(series, basis300, 40) == vec
 
 
-def test_reconstruct_matches_fraction_sum(basis300):
+@settings(max_examples=3, deadline=None)
+@given(vec=coeff_vectors)
+@example(vec=KNOWN_DECOMPOSITIONS[(1, 28)])
+@example(vec=KNOWN_DECOMPOSITIONS[(4, 7)])
+@example(vec=KNOWN_DECOMPOSITIONS[(1, 14)])
+@example(vec=KNOWN_DECOMPOSITIONS[(2, 7)])
+@example(vec=KNOWN_DECOMPOSITIONS[(1, 7)])
+def test_reconstruct_matches_fraction_sum(basis300, vec):
     # the earlier reconstruct: each nonzero coordinate times its basis
     # series, added in rationals
-    rng = random.Random(496)
-    vecs = list(KNOWN_DECOMPOSITIONS.values()) + [
-        CoeffVector.make(
-            {t: Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for t in DILATIONS},
-            [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(9)],
-        )
-        for _ in range(3)
-    ]
-    for vec in vecs:
-        expected = QSeries.zero(basis300.order)
-        for part, coef in zip(basis300.columns(), vec.entries()):
-            if coef:
-                expected = expected + part * coef
-        assert reconstruct(vec, basis300) == expected, vec
+    expected = QSeries.zero(basis300.order)
+    for part, coef in zip(basis300.columns(), vec.entries()):
+        if coef:
+            expected = expected + part * coef
+    assert reconstruct(vec, basis300) == expected
 
 
 def test_decompose_preconditions(basis300):
@@ -161,8 +160,8 @@ def test_decompose_inconsistent(basis300):
 
 
 def test_decompose_underdetermined(basis300):
-    doctored = replace(
-        basis300, cusp_parts=basis300.cusp_parts[:8] + (basis300.cusp_parts[7],)
+    doctored = basis300._replace(
+        cusp_parts=basis300.cusp_parts[:8] + (basis300.cusp_parts[7],)
     )
     with pytest.raises(UnderdeterminedSystem):
         decompose(m_series(300), doctored, 16)
@@ -258,9 +257,6 @@ def test_decompose_matches_full_row_reference(basis300, pair, n_max):
     assert got == KNOWN_DECOMPOSITIONS[pair]
 
 
-coordinates = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 40))
-
-
 @settings(max_examples=6, deadline=None)
 @given(
     x=st.lists(coordinates, min_size=6, max_size=6),
@@ -290,8 +286,8 @@ def test_decompose_recovers_and_rejects_like_reference(basis300, x, y, n_max, ro
 
 @pytest.mark.parametrize("target", ["in span", "outside span"])
 def test_duplicated_column_is_underdetermined_like_reference(basis300, target):
-    doctored = replace(
-        basis300, cusp_parts=basis300.cusp_parts[:8] + (basis300.cusp_parts[7],)
+    doctored = basis300._replace(
+        cusp_parts=basis300.cusp_parts[:8] + (basis300.cusp_parts[7],)
     )
     series = m_series(300)
     if target == "outside span":

@@ -245,6 +245,44 @@ def test_cube_root_round_trip_randomized(root):
     assert (r ** 3).equal_up_to(shifted.truncate(r.order), r.order)
 
 
+def support_loop_cube_root(s: QSeries) -> QSeries:
+    """The earlier cube root, kept as the differential reference: the power
+    recurrence 3k r_k = sum (4i - 3k) u_i r_{k-i} summed term by term over
+    the support of the unit series u, then placed at q^(v/3)."""
+    lead = s.valuation()
+    m = lead // 3
+    u = s.coeffs[lead:]
+    nu = len(u) - 1
+    support = [i for i in range(1, nu + 1) if u[i]]
+    r = [1]
+    for k in range(1, nu + 1):
+        acc = 0
+        for i in support:
+            if i > k:
+                break
+            acc += (4 * i - 3 * k) * u[i] * r[k - i]
+        r.append(exact_div(acc, 3 * k))
+    out_order = s.order - 2 * m
+    out = [0] * (out_order + 1)
+    for i, c in enumerate(r):
+        if m + i <= out_order:
+            out[m + i] = c
+    return QSeries(out, out_order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(body=st.one_of(series(), runs_series(max_order=40)), shift=st.integers(0, 3))
+@example(body=QSeries([1], 0), shift=0)
+@example(body=QSeries([1, 0, 0, Fraction(1, 2)], 40), shift=2)
+def test_cube_root_matches_support_loop(body, shift):
+    # any series with leading term q^(3 shift) has a rational cube root,
+    # cube or not: rational, sparse and shifted inputs alike
+    s = QSeries((0,) * 3 * shift + (1,) + body.coeffs[1:], body.order + 3 * shift)
+    got = s.cube_root()
+    assert got == support_loop_cube_root(s)
+    assert_normalized(got)
+
+
 def test_cube_root_errors():
     with pytest.raises(BadLeadingTerm):
         QSeries.zero(3).cube_root()  # no leading term

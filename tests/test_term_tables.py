@@ -80,3 +80,21 @@ def test_r7_closed_absorbs_the_dilated_tail_by_the_shift_identity():
     shifted = [("form", j, 1, Fraction(-512, 35) * c, ZERO)
                for j, c in SHIFT_IDENTITY_COEFFS.items()]
     assert collect(R7_CLOSED) == collect([*head, *shifted])
+
+
+def scaled_w(pair, k, t):
+    """Entries of k W_pair(n/t): each d times t, each const times k and
+    each slope times k/t, since (c + s n/t) sigma(n/(t d)) is the sigma
+    term of W at n/t."""
+    return [(kind, form, d * t, k * const, Fraction(k, t) * slope)
+            for kind, form, d, const, slope in FORMULAS[pair]]
+
+
+def test_r7_closed_raw_is_the_convolution_formula():
+    # R_7(n) = 8 s(n) - 32 s(n/4) + 8 s(n/7) - 32 s(n/28) + 64 W_{1,7}(n)
+    #          + 1024 W_{1,7}(n/4) - 256 (W_{4,7}(n) + W_{1,28}(n))
+    sigma_part = [("sigma1", 0, d, Fraction(c), ZERO)
+                  for d, c in {1: 8, 4: -32, 7: 8, 28: -32}.items()]
+    w_part = [*scaled_w((1, 7), 64, 1), *scaled_w((1, 7), 1024, 4),
+              *scaled_w((4, 7), -256, 1), *scaled_w((1, 28), -256, 1)]
+    assert collect(R7_CLOSED_RAW) == collect([*sigma_part, *w_part])
