@@ -9,12 +9,24 @@ from the spec ("offset24"), rejects it unless it is a nonnegative multiple
 of 24 before any series work, and shifts the integer-exponent body
 F = prod P(q^delta)^r_delta, with P(q) = prod (1 - q^n), by offset24/24.
 
-The body comes from its logarithmic derivative. Since
+The body is built one of two ways, in both only to order - shift.
+
+An eta product, every r_delta > 0, with sum r_delta at most
+SPARSE_MAX_EXPONENT_SUM, is a product of sparse theta series:
+prod J(q^delta)^(r // 3) * P(q^delta)^(r % 3), with Jacobi's
+J(q) = P(q)^3 = sum_{m>=0} (-1)^m (2m+1) q^(m(m+1)/2) and Euler's
+P(q) = sum_k (-1)^k q^(k(3k-1)/2), so each factor has O(sqrt(order/delta))
+terms. The factors are multiplied in pairs by direct loops, and the pair
+products joined by the Kronecker product of ``qseries``.
+
+Any other quotient, and a product whose exponents sum past that bound,
+takes its body from its logarithmic derivative. Since
 q d/dq log P(q) = -sum sigma(m) q^m, the series g = q F'/F has
 g_n = -sum_{delta | n} delta * r_delta * sigma(n/delta), and
 n f_n = sum_{k=1..n} g_k f_{n-k} with f_0 = 1. Every step is an exact
 integer division, so nothing is inverted and each sum is n f_n, only
-log2(n) bits wider than a coefficient. The body runs only to order - shift.
+log2(n) bits wider than a coefficient. This O(order^2) recurrence holds for
+every quotient, so the tests use it as the reference for the sparse path.
 
 The nine level-28 generators C_1 .. C_9 have one coefficient store, here
 and nowhere else: each generator expanded to the store's order, which only
@@ -36,7 +48,7 @@ from typing import Mapping, NamedTuple
 
 from .arith import check_int, divisors, grown_size, is_int, normalize, sigma_table
 from .errors import FractionalExponent, NegativeValuation
-from .qseries import QSeries
+from .qseries import QSeries, _kronecker_product
 
 
 class EtaQuotientSpec(
@@ -129,11 +141,74 @@ def _body(exponents: Mapping[int, int], order: int) -> list[int]:
     return f
 
 
+# The sparse path makes about sum(r_delta) / 6 Kronecker joins of series
+# whose coefficients grow with the exponents, while the recurrence's cost
+# barely moves with them: past this sum the recurrence can be the faster.
+SPARSE_MAX_EXPONENT_SUM = 48
+
+
+def _jacobi(delta: int, order: int) -> list[tuple[int, int]]:
+    """The terms (exponent, coefficient) of J(q^delta) = P(q^delta)^3 up to
+    q^order: (-1)^m (2m + 1) at q^(delta m(m+1)/2), m >= 0."""
+    terms = []
+    m = 0
+    while (e := delta * m * (m + 1) // 2) <= order:
+        terms.append((e, -2 * m - 1 if m % 2 else 2 * m + 1))
+        m += 1
+    return terms
+
+
+def _euler(delta: int, order: int) -> list[tuple[int, int]]:
+    """The terms (exponent, coefficient) of P(q^delta) up to q^order, in
+    ascending order: (-1)^k at q^(delta k(3k-1)/2) and q^(delta k(3k+1)/2)."""
+    terms = [(0, 1)]
+    k = 1
+    while (e := delta * k * (3 * k - 1) // 2) <= order:
+        sign = -1 if k % 2 else 1
+        terms.append((e, sign))
+        if e + delta * k <= order:
+            terms.append((e + delta * k, sign))
+        k += 1
+    return terms
+
+
+def _sparse_product(
+    f: list[tuple[int, int]], g: list[tuple[int, int]], order: int
+) -> list[int]:
+    """Coefficients 0..order of the product of two sparse series, each a
+    list of (exponent, coefficient) in ascending exponent order."""
+    out = [0] * (order + 1)
+    for e, c in f:
+        for e2, c2 in g:
+            if e + e2 > order:
+                break
+            out[e + e2] += c * c2
+    return out
+
+
+def _product_body(exponents: Mapping[int, int], order: int) -> list[int]:
+    """Coefficients f_0..f_order of prod P(q^delta)^r_delta with every
+    r_delta > 0, as prod J(q^delta)^(r // 3) * P(q^delta)^(r % 3)."""
+    factors = []
+    for delta, r in exponents.items():
+        factors += [_jacobi(delta, order)] * (r // 3) + [_euler(delta, order)] * (r % 3)
+    if len(factors) % 2:
+        factors.append([(0, 1)])
+    pairs = [_sparse_product(f, g, order) for f, g in zip(factors[::2], factors[1::2])]
+    body = pairs[0]
+    for pair in pairs[1:]:
+        body = _kronecker_product(body, pair)
+    return body
+
+
 def expand(spec: EtaQuotientSpec, order: int) -> QSeries:
     """Full q-expansion of an eta quotient as a plain series.
 
     The order must be an int >= 0, and the q-power q^(offset24/24) whole
-    and nonnegative; both are checked before any series is built.
+    and nonnegative; both are checked before any series is built. An eta
+    product (every exponent positive, their sum at most
+    SPARSE_MAX_EXPONENT_SUM) takes its body from sparse theta factors, any
+    other quotient from the log-derivative recurrence.
     """
     check_int("expand", "order", order, 0)
     offset24 = spec.offset24()
@@ -144,7 +219,11 @@ def expand(spec: EtaQuotientSpec, order: int) -> QSeries:
         raise NegativeValuation(f"leading q-power {shift} is negative")
     if shift > order:
         return QSeries.zero(order)
-    return QSeries([0] * shift + _body(spec.exponents, order - shift), order)
+    exponents = spec.exponents
+    sparse = (all(r > 0 for r in exponents.values())
+              and sum(exponents.values()) <= SPARSE_MAX_EXPONENT_SUM)
+    body = _product_body if sparse else _body
+    return QSeries([0] * shift + body(exponents, order - shift), order)
 
 
 def ligozat_check(spec: EtaQuotientSpec) -> LigozatReport:

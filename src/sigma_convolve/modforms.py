@@ -66,6 +66,14 @@ class Basis28(NamedTuple):
         return self.eisenstein_parts + self.cusp_parts
 
 
+def _check_shape(x: Mapping[int, object], y: Sequence[object]) -> None:
+    """ValueError unless x is keyed by DILATIONS and y has CUSP_DIMENSION entries."""
+    if tuple(x) != DILATIONS:
+        raise ValueError(f"x must be keyed by {DILATIONS}, got {tuple(x)}")
+    if len(y) != CUSP_DIMENSION:
+        raise ValueError(f"y must have {CUSP_DIMENSION} entries, got {len(y)}")
+
+
 class CoeffVector(NamedTuple):
     """Solved coordinates: x keyed by dilation t, y indexed by generator."""
 
@@ -78,17 +86,18 @@ class CoeffVector(NamedTuple):
         x: Mapping[int, int | Fraction],
         y: Sequence[int | Fraction],
     ) -> "CoeffVector":
-        if tuple(x.keys()) != DILATIONS:
-            raise ValueError(f"x must be keyed by {DILATIONS}, got {tuple(x)}")
-        if len(y) != CUSP_DIMENSION:
-            raise ValueError(f"y must have {CUSP_DIMENSION} entries, got {len(y)}")
+        _check_shape(x, y)
         return cls(
             MappingProxyType({t: normalize(Fraction(v)) for t, v in x.items()}),
             tuple(normalize(Fraction(v)) for v in y),
         )
 
     def entries(self) -> tuple[int | Fraction, ...]:
-        return tuple(self.x.values()) + self.y
+        """The fifteen coordinates in basis column order. The shape is
+        checked again here: the plain constructor and ``_replace`` skip
+        ``make``."""
+        _check_shape(self.x, self.y)
+        return tuple(self.x.values()) + tuple(self.y)
 
 
 def _pivot_rows(

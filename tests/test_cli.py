@@ -30,6 +30,7 @@ from sigma_convolve.cli import (
 )
 from sigma_convolve.deltaforms import delta_series
 from sigma_convolve.modforms import KNOWN_DECOMPOSITIONS, CoeffVector
+from sigma_convolve.qseries import QSeries
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +223,22 @@ def test_verify_reports_broken_identity(capsys, monkeypatch):
     assert "FAIL decomposition (1,28)" in out
     assert "9/10 identities verified" in out
     assert "identity failed: decomposition (1,28)" in err
+
+
+def test_verify_takes_one_cube_root(capsys, monkeypatch):
+    # "cube root vs eta combination" and "cube root consistency" read one root
+    roots = []
+    cube_root = QSeries.cube_root
+
+    def counting_cube_root(series):
+        roots.append(series.order)
+        return cube_root(series)
+
+    monkeypatch.setattr(QSeries, "cube_root", counting_cube_root)
+    cli._cube_root.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--order", "100")
+    assert code == EXIT_OK and "10/10 identities verified" in out
+    assert roots == [102]
 
 
 def test_verify_rejects_nonpositive_order(capsys):

@@ -90,6 +90,7 @@ def test_expand_checks_q_power_before_series_work(monkeypatch):
         raise AssertionError("series built before the q-power check")
 
     monkeypatch.setattr(eta, "_body", no_series)
+    monkeypatch.setattr(eta, "_product_body", no_series)
     with pytest.raises(FractionalExponent):
         expand(EtaQuotientSpec(1, {1: 1}), 10**7)
     with pytest.raises(NegativeValuation):
@@ -101,23 +102,69 @@ def test_expand_past_its_shift_does_no_series_work(monkeypatch):
         raise AssertionError("body built for a series that is all zeros")
 
     monkeypatch.setattr(eta, "_body", no_series)
+    monkeypatch.setattr(eta, "_product_body", no_series)
     # q^7 * P(q^28)^6 vanishes through order 5
     assert expand(EtaQuotientSpec(28, {28: 6}), 5) == QSeries.zero(5)
 
 
 def test_expand_builds_the_body_to_order_minus_shift(monkeypatch):
     calls = []
-    body = eta._body
+    kernels = []
 
-    def spy(exponents, order):
-        out = body(exponents, order)
-        calls.append((order, len(out)))
-        return out
+    def spy(name):
+        body = getattr(eta, name)
 
-    monkeypatch.setattr(eta, "_body", spy)
+        def recording_body(exponents, order):
+            out = body(exponents, order)
+            calls.append((order, len(out)))
+            kernels.append(name)
+            return out
+
+        monkeypatch.setattr(eta, name, recording_body)
+
+    spy("_body")
+    spy("_product_body")
     expand(cusp_spec(9), 20)                    # q^9 times the body
     expand(EtaQuotientSpec(28, {28: 6}), 7)     # shift == order
-    assert calls == [(11, 12), (0, 1)]
+    expand(cusp_spec(2), 20)                    # q^2 times the body
+    expand(EtaQuotientSpec(1, {1: 72}), 10)     # q^3; exponents sum past 48
+    assert calls == [(11, 12), (0, 1), (18, 19), (7, 8)]
+    # quotients and products of high weight take the recurrence, other eta
+    # products the sparse theta factors
+    assert kernels == ["_body", "_product_body", "_product_body", "_body"]
+    assert eta.SPARSE_MAX_EXPONENT_SUM == 48
+
+
+@st.composite
+def product_specs(draw):
+    """Eta products on levels up to 28: exponents 1..8 on a nonempty set of
+    divisors; the q-power need not be whole, since the bodies are compared."""
+    level = draw(st.integers(1, 28))
+    ds = draw(st.lists(st.sampled_from(divisors(level)), min_size=1, unique=True))
+    return EtaQuotientSpec(level, {d: draw(st.integers(1, 8)) for d in ds})
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=product_specs(), order=st.integers(0, 400))
+# a factor's last term lands exactly on the order: delta times a pentagonal
+# (P) or triangular (J) number
+@example(spec=EtaQuotientSpec(1, {1: 1}), order=22)      # P(q): 4*11/2 = 22
+@example(spec=EtaQuotientSpec(1, {1: 1}), order=26)      # P(q): 4*13/2 = 26
+@example(spec=EtaQuotientSpec(7, {7: 2}), order=35)      # P(q^7): 7*5
+@example(spec=EtaQuotientSpec(1, {1: 3}), order=10)      # J(q): 4*5/2 = 10
+@example(spec=EtaQuotientSpec(28, {28: 6}), order=28)    # J(q^28): 28*1
+@example(spec=EtaQuotientSpec(14, {1: 1, 14: 4}), order=42)  # J(q^14): 14*3
+@example(spec=cusp_spec(5), order=336)                   # P(q^28): 28*12
+@example(spec=EtaQuotientSpec(7, {1: 16, 7: 8}), order=385)  # J(q^7): 7*55
+@example(spec=EtaQuotientSpec(28, {28: 6}), order=0)
+def test_product_body_matches_recurrence_and_naive_product(spec, order):
+    exps = spec.exponents
+    sparse = eta._product_body(exps, order)
+    assert sparse == eta._body(exps, order)
+    naive = QSeries.one(order)
+    for delta, r in exps.items():
+        naive = naive * naive_product_body(delta, r, order)
+    assert sparse == list(naive.coeffs)
 
 
 def pentagonal_product(order: int) -> QSeries:
@@ -170,6 +217,12 @@ def whole_specs(draw):
 @example(spec=cusp_spec(9), order=27)        # order < 28
 @example(spec=EtaQuotientSpec(28, {28: 6}), order=5)
 @example(spec=EtaQuotientSpec(28, {28: 6}), order=0)
+@example(spec=EtaQuotientSpec(28, {28: 6}), order=7)    # shift == order
+@example(spec=cusp_spec(2), order=2)                     # shift == order
+# an eta product whose body (to order - shift) ends on a factor's last term
+@example(spec=cusp_spec(2), order=72)                    # P(q^14) at 14*5
+@example(spec=cusp_spec(5), order=145)                   # P(q^28) at 28*5
+@example(spec=EtaQuotientSpec(7, {1: 16, 7: 8}), order=73)  # J(q^7) at 7*10
 def test_expand_matches_full_order_reference(spec, order):
     assert expand(spec, order) == full_order_expand(spec, order)
 
@@ -187,8 +240,11 @@ def test_expand_and_c_series_reject_bad_orders(monkeypatch, order):
         raise AssertionError("series built for a bad order")
 
     monkeypatch.setattr(eta, "_body", no_series)
+    monkeypatch.setattr(eta, "_product_body", no_series)
     with pytest.raises(ValueError):
         expand(cusp_spec(1), order)
+    with pytest.raises(ValueError):
+        expand(cusp_spec(2), order)
     with pytest.raises(ValueError):
         c_series(1, order)
     monkeypatch.setattr(eta, "_cusp_cache", {})

@@ -174,6 +174,20 @@ def test_coeff_vector_validation():
         CoeffVector.make(dict.fromkeys(DILATIONS, 0), [0] * 8)
 
 
+def test_reconstruct_rejects_a_vector_built_past_make():
+    # zip would stop at the short side and read seven coordinates
+    v = KNOWN_DECOMPOSITIONS[(1, 7)]
+    basis = Basis28.at_order(40)
+    for bad in (v._replace(y=v.y[:1]), v._replace(y=v.y + (0,)),
+                v._replace(x={t: v.x[t] for t in DILATIONS[:-1]}),
+                CoeffVector(dict(reversed(v.x.items())), v.y)):
+        with pytest.raises(ValueError):
+            bad.entries()
+        with pytest.raises(ValueError):
+            reconstruct(bad, basis)
+    assert reconstruct(v._replace(y=list(v.y)), basis) == reconstruct(v, basis)
+
+
 def test_verify_identity():
     m = m_series(20)
     assert verify_identity(m, m, 28)
