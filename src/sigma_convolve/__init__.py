@@ -5,7 +5,7 @@ Everything is computed over exact integers and rationals; every closed
 form ships with an independent brute-force oracle it is tested against.
 """
 
-from .arith import divisors, exact_div, normalize, prime_factors, sigma, sigma_scaled, sigma_table
+from .arith import divisors, normalize, prime_factors, sigma, sigma_scaled, sigma_table
 from .convolution import (
     CLOSED_FORM_PAIRS,
     DELTA_FORMS,
@@ -98,7 +98,6 @@ __all__ = [
     "delta_series",
     "divisors",
     "evaluate",
-    "exact_div",
     "expand",
     "l_combination",
     "l_series",

@@ -1,9 +1,10 @@
 """Exact integer and rational arithmetic plus divisor-sum functions.
 
-Rationals are ``fractions.Fraction`` (arbitrary precision, always canonical).
-Values that happen to be integers are normalized back to ``int`` so that
-integer-only computations stay on the fast native path; ``int`` and
-``Fraction`` mix freely and compare equal when they should.
+Series coefficients are ints. Rationals, as ``fractions.Fraction``, appear
+only as coordinates and formula coefficients: ``normalize`` turns one with
+denominator 1 back into an ``int``, and ``over_common_denominator`` puts a
+list of them over one denominator, so sums of them run in integers and are
+divided once at the end.
 
 Divisor sums come from one module-wide table per power k, sigma_k(0..m),
 built by a divisor-accumulation sieve and regrown by doubling
@@ -31,14 +32,6 @@ def normalize(value: int | Fraction) -> int | Fraction:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"exact number required, got {type(value).__name__}")
-
-
-def exact_div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
-    """Exact quotient a/b, normalized. Never produces a float."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        return q if r == 0 else Fraction(a, b)
-    return normalize(Fraction(a) / Fraction(b))
 
 
 def over_common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int]:

@@ -185,7 +185,8 @@ def decompose(target: QSeries, basis: Basis28, n_max: int) -> CoeffVector:
 
 
 def reconstruct(vec: CoeffVector, basis: Basis28) -> QSeries:
-    """The series with the given coordinates, at the basis order."""
+    """The series with the given coordinates, at the basis order; raises
+    NonIntegralResult when the series is not integral."""
     return QSeries.linear_combination(zip(basis.columns(), vec.entries()), basis.order)
 
 

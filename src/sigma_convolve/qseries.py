@@ -1,29 +1,26 @@
-"""Truncated formal power series in q with exact rational coefficients.
+"""Truncated formal power series in q with integer coefficients.
 
-A QSeries holds coefficients for q^0 .. q^order inclusive. Every binary
-operation truncates to the smaller operand order, so compositions stay total
-when everything is built at one global order. Coefficients are int or
-Fraction (ints kept as ints so integer series multiply at native speed).
+A QSeries holds int coefficients for q^0 .. q^order inclusive; rationals
+live only in coordinates, such as the coefficients of ``linear_combination``.
+Every binary operation truncates to the smaller operand order, so
+compositions stay total when everything is built at one global order.
 
-Series products use signed Kronecker substitution: each operand, scaled to
-integers by the lcm of its denominators, is packed into one big int with one
-fixed-width slot per coefficient, the two ints are multiplied once, and the
-product's low slots are read back as the coefficients. A slot holds the
-bound |c_k| <= min(l1(a) max|b|, l1(b) max|a|) on every product coefficient
-plus a sign bit, rounded up to whole bytes, so no slot can carry into the
-next and the result is exact.
+Series products use signed Kronecker substitution: each operand is packed
+into one big int with one fixed-width slot per coefficient, the two ints are
+multiplied once, and the product's low slots are read back as the
+coefficients. A slot holds the bound |c_k| <= min(l1(a) max|b|, l1(b)
+max|a|) on every product coefficient plus a sign bit, rounded up to whole
+bytes, so no slot can carry into the next and the result is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .arith import check_int, exact_div, normalize, over_common_denominator
-from .errors import BadLeadingTerm, OutOfRange
-
-Coeff = int | Fraction
+from .arith import check_int, normalize, over_common_denominator
+from .errors import BadLeadingTerm, NonIntegralResult, OutOfRange
 
 
 class QSeries:
@@ -32,12 +29,15 @@ class QSeries:
     __slots__ = ("order", "_coeffs")
 
     order: int
-    _coeffs: tuple[Coeff, ...]
+    _coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: Iterable[Coeff], order: int | None = None):
+    def __init__(self, coeffs: Iterable[int], order: int | None = None):
         if order is not None:
             check_int("QSeries", "order", order, 0)
-        cs = [normalize(c) for c in coeffs]
+        cs = list(coeffs)
+        if not {*map(type, cs)} <= {int}:
+            bad = next(c for c in cs if type(c) is not int)
+            raise TypeError(f"QSeries coefficients must be int, got {type(bad).__name__}")
         if order is None:
             if not cs:
                 raise ValueError("empty coefficient list and no explicit order")
@@ -62,26 +62,29 @@ class QSeries:
 
     @classmethod
     def linear_combination(
-        cls, terms: Iterable[tuple["QSeries", Coeff]], order: int
+        cls, terms: Iterable[tuple["QSeries", int | Fraction]], order: int
     ) -> "QSeries":
         """Sum of coef * series over (series, coef) pairs, truncated to the
         least of ``order`` and the series' orders.
 
-        The coefficients are scaled to integers by their common denominator
-        L, the integer multiples of each series are summed, and each sum is
-        divided by L once.
+        The rational coefficients are scaled to integers by their common
+        denominator L, the integer multiples of each series are summed, and
+        each sum is divided by L once. A sum that L does not divide raises
+        NonIntegralResult.
         """
         check_int("QSeries.linear_combination", "order", order, 0)
         pairs = [(s, normalize(c)) for s, c in terms if c]
         scaled, den = over_common_denominator(c for _, c in pairs)
         n = min([order, *(s.order for s, _ in pairs)])
-        acc: list[Coeff] = [0] * (n + 1)
+        acc = [0] * (n + 1)
         for (s, _), k in zip(pairs, scaled):
             acc = [a + k * b for a, b in zip(acc, s._coeffs)]
-        return cls([exact_div(a, den) for a in acc], n)
+        if any(a % den for a in acc):
+            raise NonIntegralResult(f"a combination over denominator {den} is not integral")
+        return cls([a // den for a in acc], n)
 
     @classmethod
-    def monomial(cls, n: int, order: int, coeff: Coeff = 1) -> "QSeries":
+    def monomial(cls, n: int, order: int, coeff: int = 1) -> "QSeries":
         """coeff * q^n truncated to the given order."""
         check_int("QSeries.monomial", "n", n, 0, "order", order, 0)
         cs = [0] * (order + 1)
@@ -92,10 +95,10 @@ class QSeries:
     # -- access ------------------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Coeff, ...]:
+    def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
-    def coefficient(self, n: int) -> Coeff:
+    def coefficient(self, n: int) -> int:
         """Coefficient of q^n; raises OutOfRange beyond the truncation."""
         check_int("QSeries.coefficient", "n", n)
         if not 0 <= n <= self.order:
@@ -146,20 +149,16 @@ class QSeries:
     def __neg__(self) -> "QSeries":
         return QSeries([-c for c in self._coeffs], self.order)
 
-    def __mul__(self, other: "QSeries | Coeff") -> "QSeries":
-        """Scalar or truncated series product. A series product is one
-        big-int multiply of the operands' integer numerators (see the module
-        docstring), divided once by the product of their denominators."""
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: "QSeries | int") -> "QSeries":
+        """Product with an int scalar, or truncated series product: one
+        big-int multiply (see the module docstring)."""
+        if type(other) is int:
             return QSeries([c * other for c in self._coeffs], self.order)
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, den_a = over_common_denominator(self._coeffs[: n + 1])
-        b, den_b = (a, den_a) if other is self else over_common_denominator(other._coeffs[: n + 1])
-        out = _kronecker_product(a, b)
-        den = den_a * den_b
-        return QSeries(out if den == 1 else [exact_div(c, den) for c in out], n)
+        a = self._coeffs[: n + 1]
+        return QSeries(_kronecker_product(a, a if other is self else other._coeffs[: n + 1]), n)
 
     __rmul__ = __mul__
 
@@ -180,7 +179,7 @@ class QSeries:
         if t == 1:
             return self
         n = self.order
-        out: list[Coeff] = [0] * (n + 1)
+        out = [0] * (n + 1)
         for i in range(0, n // t + 1):
             out[i * t] = self._coeffs[i]
         return QSeries(out, n)
@@ -192,7 +191,8 @@ class QSeries:
         Requires a nonzero series whose leading coefficient is 1 and whose
         valuation is a multiple of 3. The result is truncated to
         order - 2*(v/3): only coefficients fully determined by the stored
-        part of the input are returned.
+        part of the input are returned. A root coefficient that is not an
+        integer raises NonIntegralResult.
         """
         lead = self.valuation()
         if lead is None:
@@ -209,10 +209,13 @@ class QSeries:
         # r^3 = u with r_0 = 1, by the power recurrence for r = u^(1/3):
         # 3k r_k = sum_{i=1}^{k} (4i - 3k) u_i r_{k-i}
         #        = 4 sum i u_i r_{k-i} - 3k sum u_i r_{k-i}, two dot products
-        r: list[Coeff] = [1]
+        r = [1]
         for k in range(1, len(u) + 1):
             acc = 4 * sum(map(mul, iu, reversed(r))) - 3 * k * sum(map(mul, u, reversed(r)))
-            r.append(exact_div(acc, 3 * k))
+            r_k, rest = divmod(acc, 3 * k)
+            if rest:
+                raise NonIntegralResult(f"cube root coefficient {k} is {Fraction(acc, 3 * k)}")
+            r.append(r_k)
         # r_0 .. r_{order - lead} sit at q^m .. q^(order - 2m)
         return QSeries([0] * m + r, self.order - 2 * m)
 
@@ -238,7 +241,7 @@ class QSeries:
         return f"QSeries({body}; order={self.order})"
 
 
-def _kronecker_product(a: list[int], b: list[int]) -> list[int]:
+def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The first len(a) coefficients of the product of two integer
     polynomials with len(a) == len(b) coefficients each.
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul
 
-from .arith import check_int, sigma, sigma_scaled
+from .arith import check_int, over_common_denominator, sigma, sigma_scaled
 from .convolution import TermTable, evaluate, form_terms, sigma3_terms, w_formula
 from .eta import c_series
 from .modforms import sturm_bound
@@ -124,10 +124,13 @@ SHIFT_IDENTITY_LEVEL = 56  # the dilated forms live at level 56
 
 def verify_cusp_shift_identity(order: int) -> bool:
     """Check C_1(q^4) + 4 C_2(q^4) against its nine-generator expression
-    at the given order, which must reach the level-56 Sturm bound."""
+    at the given order, which must reach the level-56 Sturm bound. Both
+    sides are compared times the coefficients' denominator, so a slip that
+    leaves the expression non-integral reads as False, not as an error."""
     check_int("verify_cusp_shift_identity", "order", order, sturm_bound(SHIFT_IDENTITY_LEVEL))
     lhs = c_series(1, order).substitute_power(4) + 4 * c_series(2, order).substitute_power(4)
+    scaled, den = over_common_denominator(SHIFT_IDENTITY_COEFFS.values())
     rhs = QSeries.linear_combination(
-        ((c_series(j, order), coef) for j, coef in SHIFT_IDENTITY_COEFFS.items()), order
+        ((c_series(j, order), k) for j, k in zip(SHIFT_IDENTITY_COEFFS, scaled)), order
     )
-    return lhs.equal_up_to(rhs, order)
+    return (den * lhs).equal_up_to(rhs, order)

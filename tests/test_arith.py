@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import sigma_convolve.arith as arith
 from sigma_convolve.arith import (
     divisors,
-    exact_div,
     normalize,
     prime_factors,
     sigma,
@@ -146,13 +145,6 @@ def test_normalize():
     assert half == Fraction(1, 2) and isinstance(half, Fraction)
     with pytest.raises(TypeError):
         normalize(0.5)
-
-
-def test_exact_div():
-    assert exact_div(6, 3) == 2 and isinstance(exact_div(6, 3), int)
-    assert exact_div(1, 2) == Fraction(1, 2)
-    assert exact_div(Fraction(3, 4), Fraction(1, 4)) == 3
-    assert exact_div(-8, 2) == -4
 
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))

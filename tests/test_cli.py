@@ -15,11 +15,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sigma_convolve import arith, cli, deltaforms, eta, modforms
+from sigma_convolve import arith, cli, deltaforms, eta, modforms, representations
 from sigma_convolve.cli import (
     EXIT_DOMAIN,
     EXIT_IDENTITY,
@@ -223,6 +224,19 @@ def test_verify_reports_broken_identity(capsys, monkeypatch):
     assert "FAIL decomposition (1,28)" in out
     assert "9/10 identities verified" in out
     assert "identity failed: decomposition (1,28)" in err
+
+
+def test_verify_reports_a_non_integral_identity_as_failed(capsys, monkeypatch):
+    # a slipped coefficient leaves the cusp shift expression non-integral;
+    # the identity fails like any other, without an exception
+    coeffs = dict(representations.SHIFT_IDENTITY_COEFFS)
+    coeffs[3] += Fraction(1, 1000)
+    monkeypatch.setattr(representations, "SHIFT_IDENTITY_COEFFS", coeffs)
+    code, out, err = run_cli(capsys, "verify", "--order", "32")
+    assert code == EXIT_IDENTITY
+    assert "FAIL cusp shift (level 56)" in out
+    assert "9/10 identities verified" in out
+    assert "Traceback" not in out + err
 
 
 def test_verify_takes_one_cube_root(capsys, monkeypatch):

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigma_convolve.eisenstein import l_combination, m_series
-from sigma_convolve.errors import InconsistentSystem, UnderdeterminedSystem
+from sigma_convolve.errors import InconsistentSystem, NonIntegralResult, UnderdeterminedSystem
 from sigma_convolve.modforms import (
     CUSP_DIMENSION,
     DILATIONS,
@@ -22,8 +23,17 @@ from sigma_convolve.modforms import (
 from sigma_convolve.qseries import QSeries
 
 coordinates = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 40))
+
+
+def integral_vector(x, y):
+    """The coordinates x, y times the lcm of their denominators, so that
+    the vector's series is integral, as every basis series is."""
+    den = lcm(*(Fraction(v).denominator for v in (*x, *y)))
+    return CoeffVector.make(dict(zip(DILATIONS, (v * den for v in x))), [v * den for v in y])
+
+
 coeff_vectors = st.builds(
-    lambda x, y: CoeffVector.make(dict(zip(DILATIONS, x)), y),
+    integral_vector,
     st.lists(coordinates, min_size=6, max_size=6),
     st.lists(coordinates, min_size=9, max_size=9),
 )
@@ -122,6 +132,7 @@ def test_decompose_basis_element(basis300):
 
 @settings(max_examples=5, deadline=None)
 @given(vec=coeff_vectors)
+@example(vec=KNOWN_DECOMPOSITIONS[(4, 7)])
 def test_decompose_reconstruct_round_trip(basis300, vec):
     series = reconstruct(vec, basis300)
     assert decompose(series, basis300, 16) == vec
@@ -136,13 +147,19 @@ def test_decompose_reconstruct_round_trip(basis300, vec):
 @example(vec=KNOWN_DECOMPOSITIONS[(2, 7)])
 @example(vec=KNOWN_DECOMPOSITIONS[(1, 7)])
 def test_reconstruct_matches_fraction_sum(basis300, vec):
-    # the earlier reconstruct: each nonzero coordinate times its basis
-    # series, added in rationals
-    expected = QSeries.zero(basis300.order)
+    # the earlier reconstruct: each coordinate times its basis series,
+    # added in rationals over plain Fraction lists
+    expected = [Fraction(0)] * (basis300.order + 1)
     for part, coef in zip(basis300.columns(), vec.entries()):
-        if coef:
-            expected = expected + part * coef
-    assert reconstruct(vec, basis300) == expected
+        expected = [e + coef * c for e, c in zip(expected, part.coeffs)]
+    assert reconstruct(vec, basis300).coeffs == tuple(expected)
+
+
+def test_reconstruct_rejects_a_series_that_is_not_integral(basis300):
+    # C_1 starts q + ..., so C_1 / 2 is not integral
+    half_c1 = CoeffVector.make(dict.fromkeys(DILATIONS, 0), [Fraction(1, 2)] + [0] * 8)
+    with pytest.raises(NonIntegralResult):
+        reconstruct(half_c1, basis300)
 
 
 def test_decompose_preconditions(basis300):
@@ -277,13 +294,13 @@ def test_decompose_matches_full_row_reference(basis300, pair, n_max):
     y=st.lists(coordinates, min_size=9, max_size=9),
     n_max=st.integers(16, 300),
     row=st.integers(0, 300),
-    bump=coordinates.filter(bool),
+    bump=st.integers(-99, 99).filter(bool),
 )
 @example(x=[1] * 6, y=[1] * 9, n_max=16, row=16, bump=1)
 @example(x=[1] * 6, y=[1] * 9, n_max=16, row=7, bump=1)
 @example(x=[1] * 6, y=[1] * 9, n_max=300, row=300, bump=-1)
 def test_decompose_recovers_and_rejects_like_reference(basis300, x, y, n_max, row, bump):
-    vec = CoeffVector.make(dict(zip(DILATIONS, x)), y)
+    vec = integral_vector(x, y)
     target = reconstruct(vec, basis300)
     assert decompose(target, basis300, n_max) == vec
     assert full_row_decompose(target, basis300, n_max) == vec
