@@ -1,10 +1,11 @@
 """Exact integer and rational arithmetic plus divisor-sum functions.
 
 Series coefficients are ints. Rationals, as ``fractions.Fraction``, appear
-only as coordinates and formula coefficients: ``normalize`` turns one with
-denominator 1 back into an ``int``, and ``over_common_denominator`` puts a
-list of them over one denominator, so sums of them run in integers and are
-divided once at the end.
+only as coordinates and formula coefficients: ``exact_fraction`` reads one
+from an int, a Fraction or a string and rejects a float, ``normalize``
+turns one with denominator 1 back into an ``int``, and
+``over_common_denominator`` puts a list of them over one denominator, so
+sums of them run in integers and are divided once at the end.
 
 Divisor sums come from one module-wide table per power k, sigma_k(0..m),
 built by a divisor-accumulation sieve and regrown by doubling
@@ -32,6 +33,17 @@ def normalize(value: int | Fraction) -> int | Fraction:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"exact number required, got {type(value).__name__}")
+
+
+def exact_fraction(value: int | Fraction | str) -> Fraction:
+    """An int, a Fraction or a literal such as "-3/350" as a Fraction.
+
+    Floats, and every other type, are rejected: Fraction(0.1) would keep
+    the float's binary expansion, 3602879701896397/36028797018963968.
+    """
+    if not isinstance(value, (int, Fraction, str)):
+        raise TypeError(f"exact number required, got {type(value).__name__}")
+    return Fraction(value)
 
 
 def over_common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int]:

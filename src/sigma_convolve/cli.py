@@ -145,14 +145,18 @@ def _check_decomposition(pair: tuple[int, int], order: int) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _cube_root(order: int) -> QSeries:
-    """The level-7 form as the bracket's cube root, taken once for the two
-    identities that read it at the same order."""
-    return deltaforms.delta_4_7_cuberoot(order)
+def _cube_root(order: int) -> tuple[QSeries, QSeries]:
+    """(the bracket, the level-7 form as its cube root), expanded and taken
+    once for the three identities that read them at the same order. As in
+    ``deltaforms.delta_4_7_cuberoot``, the bracket runs two indices past
+    ``order`` so the root still reaches it."""
+    bracket = deltaforms.cube_bracket(order + 2)
+    return bracket, bracket.cube_root()
 
 
 def _check_cube(order: int) -> bool:
-    return (_cube_root(order) ** 3).equal_up_to(deltaforms.cube_bracket(order), order)
+    bracket, root = _cube_root(order)
+    return (root ** 3).equal_up_to(bracket, order)
 
 
 def _check_vs_brute(formula: Callable[[int], int], pair: tuple[int, int], order: int) -> bool:
@@ -169,7 +173,7 @@ _IDENTITY_SUITE: list[tuple[str, int | None, Callable[[int], bool]]] = [
      sturm_bound(representations.SHIFT_IDENTITY_LEVEL),
      lambda o: representations.verify_cusp_shift_identity(o)),
     ("cube root vs eta combination", sturm_bound(7),
-     lambda o: _cube_root(o) == deltaforms.delta_series("4,7", o)),
+     lambda o: _cube_root(o)[1] == deltaforms.delta_series("4,7", o)),
     ("cube root consistency", None, _check_cube),
     ("level-14 formula vs brute force", sturm_bound(14),
      lambda o: _check_vs_brute(deltaforms.w_1_14_royer, (1, 14), o)),

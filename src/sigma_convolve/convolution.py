@@ -17,12 +17,18 @@ when the table is built.
 
 A ``TermTable`` also carries its integer form, made once when the table is
 built: L, the lcm of every coefficient's denominator, and the coefficients
-times L, grouped by d. ``evaluate`` sums those integers at n and divides
-once by L, so no rational arithmetic runs per query; a nonzero remainder
-means a corrupted table. It reads every c_j from the one cusp coefficient
-store of ``eta``, which grows by doubling as larger n arrive; a caller that
-tabulates up to some n evaluates the largest n first, so the store and the
-sigma tables are built once.
+times L, grouped by d. A closed form is summed in those integers at n and
+divided once by L, so no rational arithmetic runs per query; a nonzero
+remainder means a corrupted table.
+
+``evaluate`` is the checked entry: it checks n once, then hands it to the
+unchecked kernel ``_evaluate``, which every public point function here also
+calls straight after its own one check. The kernel reads every c_j from the
+one cusp coefficient store of ``eta`` and sigma_1, sigma_3 from the shared
+tables of ``arith`` in place, and grows them, through ``shared_cusp_table``
+and ``sigma_table``, only when n is past their end. Both grow by doubling;
+a caller that tabulates up to some n evaluates the largest n first, so the
+store and the sigma tables are built once.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple
 
-from .arith import check_int, sigma_table
+from . import arith, eta
+from .arith import check_int, exact_fraction, sigma_table
 from .errors import NonIntegralResult
 from .eta import _cusp_series, shared_cusp_table
 
@@ -106,13 +113,14 @@ DELTA_FORMS: dict[str, dict[int, int]] = {
 
 def sigma3_terms(coefs: dict[int, str]) -> tuple[Term, ...]:
     """{d: coef} -> coef*sigma_3(n/d) terms."""
-    return tuple(Term("sigma3", 0, d, Fraction(c)) for d, c in coefs.items())
+    return tuple(Term("sigma3", 0, d, exact_fraction(c)) for d, c in coefs.items())
 
 
 def sigma1_terms(coefs: dict[int, tuple[str, str]]) -> tuple[Term, ...]:
     """{d: (const, slope)} -> (const + slope*n)*sigma(n/d) terms."""
     return tuple(
-        Term("sigma1", 0, d, Fraction(c), Fraction(s)) for d, (c, s) in coefs.items()
+        Term("sigma1", 0, d, exact_fraction(c), exact_fraction(s))
+        for d, (c, s) in coefs.items()
     )
 
 
@@ -122,7 +130,8 @@ def form_terms(coefs: dict[int | str, str], d: int = 1) -> tuple[Term, ...]:
     out: list[Term] = []
     for form, c in coefs.items():
         combo = DELTA_FORMS[form] if isinstance(form, str) else {form: 1}
-        out.extend(Term("form", j, d, Fraction(c) * k) for j, k in combo.items())
+        c = exact_fraction(c)
+        out.extend(Term("form", j, d, c * k) for j, k in combo.items())
     return tuple(out)
 
 
@@ -166,14 +175,34 @@ def evaluate(terms: TermTable, n: int, label: str) -> int:
     """A closed form at n, summed in integers over the denominator of its
     TermTable.
 
-    Form coefficients come from the cusp store of ``eta``, grown to cover
-    n when needed, by one unchecked read per form term. A nonzero remainder
-    after the one division means a corrupted coefficient table and raises
-    NonIntegralResult.
+    The checked entry: n must be an int >= 1, or ValueError names
+    ``label``. It is checked once, here; the unchecked kernel
+    ``_evaluate`` then sums the form, growing the cusp store and the sigma
+    tables only when n is past their end.
     """
     check_int(label, "n", n, 1)
-    shared_cusp_table(n)
-    s1, s3 = sigma_table(1, n), sigma_table(3, n)
+    return _evaluate(terms, n, label)
+
+
+def _evaluate(terms: TermTable, n: int, label: str) -> int:
+    """``evaluate`` on an n already checked.
+
+    Reads the cusp store of ``eta`` and the sigma tables of ``arith`` in
+    place, through the modules, and grows each only when n is past its end.
+    Form coefficients take one unchecked store read per form term. A
+    nonzero remainder after the one division means a corrupted coefficient
+    table and raises NonIntegralResult.
+    """
+    view = eta._cusp_view
+    if view is None or view.order < n:
+        shared_cusp_table(n)
+    tables = arith._sigma_tables
+    s1 = tables.get(1, ())
+    if n >= len(s1):
+        s1 = sigma_table(1, n)
+    s3 = tables.get(3, ())
+    if n >= len(s3):
+        s3 = sigma_table(3, n)
     total = 0
     for d, c3, c1, k1, forms in terms.rows:
         if n % d:
@@ -215,11 +244,18 @@ def w_brute(a: int, b: int, n: int) -> int:
     return sum(map(mul, s[m0 : m_max + 1 : step_m], s[l0::-step_l]))
 
 
+# each closed form's label, made once: "W(1, 28)" for the pair (1, 28)
+_LABELS: dict[Pair, str] = {pair: f"W{pair}" for pair in FORMULAS}
+
+
 def w_formula(pair: Pair, n: int) -> int:
     """Closed-form W for one of the five supported pairs."""
-    if pair not in FORMULAS:
+    terms = FORMULAS.get(pair)
+    if terms is None:
         raise ValueError(f"no closed form for pair {pair}")
-    return evaluate(FORMULAS[pair], n, f"W{pair}")
+    label = _LABELS[pair]
+    check_int(label, "n", n, 1)
+    return _evaluate(terms, n, label)
 
 
 def reduced_pair(a: int, b: int) -> tuple[int, Pair]:
@@ -232,11 +268,13 @@ def reduced_pair(a: int, b: int) -> tuple[int, Pair]:
 
 def w_reduce(a: int, b: int, n: int) -> int:
     """W for any pair: reduce it (zero unless the gcd divides n), then use
-    the closed form when the reduced pair has one, else brute force."""
+    the closed form when the reduced pair has one, else brute force. The
+    arguments are checked here once; the closed form is summed unchecked."""
     check_int("w_reduce", "a", a, 1, "b", b, 1, "n", n, 1)
     g, pair = reduced_pair(a, b)
     if n % g != 0:
         return 0
-    if pair in FORMULAS:
-        return w_formula(pair, n // g)
-    return w_brute(*pair, n // g)
+    terms = FORMULAS.get(pair)
+    if terms is None:
+        return w_brute(*pair, n // g)
+    return _evaluate(terms, n // g, _LABELS[pair])

@@ -21,7 +21,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .arith import check_int, normalize, over_common_denominator, prime_factors
+from .arith import check_int, exact_fraction, normalize, over_common_denominator, prime_factors
 from .errors import InconsistentSystem, UnderdeterminedSystem
 from .eisenstein import m_series
 from .eta import c_series
@@ -83,13 +83,16 @@ class CoeffVector(NamedTuple):
     @classmethod
     def make(
         cls,
-        x: Mapping[int, int | Fraction],
-        y: Sequence[int | Fraction],
+        x: Mapping[int, int | Fraction | str],
+        y: Sequence[int | Fraction | str],
     ) -> "CoeffVector":
+        """The checked vector: six x keyed by DILATIONS, nine y, each an
+        int, a Fraction or a literal such as "-13452/25"; a float raises
+        TypeError."""
         _check_shape(x, y)
         return cls(
-            MappingProxyType({t: normalize(Fraction(v)) for t, v in x.items()}),
-            tuple(normalize(Fraction(v)) for v in y),
+            MappingProxyType({t: normalize(exact_fraction(v)) for t, v in x.items()}),
+            tuple(normalize(exact_fraction(v)) for v in y),
         )
 
     def entries(self) -> tuple[int | Fraction, ...]:
@@ -203,10 +206,7 @@ def verify_identity(lhs: QSeries, rhs: QSeries, level: int) -> bool:
 
 
 def _cv(x: Sequence[str], y: Sequence[str]) -> CoeffVector:
-    return CoeffVector.make(
-        dict(zip(DILATIONS, (Fraction(v) for v in x))),
-        [Fraction(v) for v in y],
-    )
+    return CoeffVector.make(dict(zip(DILATIONS, x)), y)
 
 
 # Published decompositions of (a L(q^a) - b L(q^b))^2 in the 15-element

@@ -255,6 +255,31 @@ def test_verify_takes_one_cube_root(capsys, monkeypatch):
     assert roots == [102]
 
 
+def test_verify_builds_the_cube_bracket_once(capsys, monkeypatch):
+    # the cube root and the consistency check read one bracket, two
+    # indices past the order; each of its eta products is expanded once
+    brackets, products = [], []
+    cube_bracket, expand = deltaforms.cube_bracket, deltaforms.expand
+
+    def counting_cube_bracket(order):
+        brackets.append(order)
+        return cube_bracket(order)
+
+    def counting_expand(spec, order):
+        products.append((spec, order))
+        return expand(spec, order)
+
+    monkeypatch.setattr(deltaforms, "cube_bracket", counting_cube_bracket)
+    monkeypatch.setattr(deltaforms, "expand", counting_expand)
+    cli._cube_root.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--order", "100")
+    cli._cube_root.cache_clear()
+    assert code == EXIT_OK and "10/10 identities verified" in out
+    assert brackets == [102]
+    assert products == [(eta.EtaQuotientSpec(deltaforms.CUBE_BRACKET_LEVEL, exps), 102)
+                        for _, exps in deltaforms.CUBE_BRACKET_TERMS]
+
+
 def test_verify_rejects_nonpositive_order(capsys):
     code, _, err = run_cli(capsys, "verify", "--order", "0")
     assert code == EXIT_USAGE

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sigma_convolve.arith as arith
 import sigma_convolve.convolution as convolution
 import sigma_convolve.eta as eta
 from sigma_convolve.arith import grown_size, sigma, sigma_scaled, sigma_table
@@ -19,10 +20,10 @@ from sigma_convolve.convolution import (
     w_formula,
     w_reduce,
 )
-from sigma_convolve.deltaforms import LEMIRE_1_7, ROYER_1_14, w_1_14_royer
+from sigma_convolve.deltaforms import LEMIRE_1_7, ROYER_1_14, w_1_7_lemire, w_1_14_royer
 from sigma_convolve.eisenstein import l_combination
 from sigma_convolve.errors import NonIntegralResult
-from sigma_convolve.eta import c_series
+from sigma_convolve.eta import CuspTable, c_series, cusp_spec, expand
 from sigma_convolve.representations import R7_CLOSED, R7_CLOSED_RAW, r7_closed
 
 REFERENCE_N = 200
@@ -222,6 +223,104 @@ def test_evaluate_matches_fraction_reference_to_2000(label):
     shared_cusp_table(2000)
     for n in range(1, 2001):
         assert evaluate(terms, n, label) == fraction_evaluate(terms, n, label), (label, n)
+
+
+KERNEL_N_MAX = 2500
+
+
+@pytest.fixture(scope="module")
+def expanded_generators() -> dict:
+    """Each generator's spec -> its series at KERNEL_N_MAX, the largest
+    order the store-state test grows the store to."""
+    return {cusp_spec(j): expand(cusp_spec(j), KERNEL_N_MAX) for j in eta.CUSP_GENERATORS}
+
+
+def set_store(mp, order: int) -> None:
+    """A store and sigma tables that end exactly at ``order``, no series
+    expanded yet."""
+    mp.setattr(eta, "_cusp_view", CuspTable(order))
+    for k in (1, 3):
+        arith._sigma_tables[k] = sigma_table(k, order)[: order + 1]
+
+
+@pytest.mark.parametrize("label", sorted(PUBLISHED))
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, KERNEL_N_MAX), data=st.data())
+def test_evaluate_matches_fraction_reference_in_every_store_state(
+        expanded_generators, label, n, data):
+    # the kernel reads the store and the sigma tables in place and grows
+    # them only past their end: check it from empty, from tables that end
+    # before n, and from tables that reach n or beyond
+    terms = PUBLISHED[label]
+    for state in ("reset", "below", "past"):
+        if state == "below" and n == 1:
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eta, "_cusp_cache", {})
+            mp.setattr(eta, "_cusp_view", None)
+            mp.setattr(arith, "_sigma_tables", {})
+            # each generator is expanded once per module; the store's
+            # growth, not expand, is under test
+            mp.setattr(eta, "expand",
+                       lambda spec, order: expanded_generators[spec].truncate(order))
+            # half the draws end the tables right at the boundary
+            if state == "below":
+                # at most half of KERNEL_N_MAX, so doubling stays within it;
+                # for n <= KERNEL_N_MAX / 2 + 1 any end below n is drawn
+                top = min(n - 1, KERNEL_N_MAX // 2)
+                end = st.one_of(st.just(top), st.integers(1, top))
+                set_store(mp, data.draw(end, label="below"))
+            elif state == "past":
+                end = st.one_of(st.just(n), st.integers(n, KERNEL_N_MAX))
+                set_store(mp, data.draw(end, label="past"))
+            got = evaluate(terms, n, label)
+            assert eta._cusp_view.order >= n and len(arith._sigma_tables[3]) > n
+            assert got == fraction_evaluate(terms, n, label), (state, n)
+
+
+def test_w_reduce_matches_brute_on_scaled_pairs():
+    # g > 1 takes the gcd path: the closed form of the reduced pair at n / g
+    for a, b in CLOSED_FORM_PAIRS:
+        for g in (1, 2, 3):
+            for n in range(600, 0, -1):
+                want = w_brute(g * a, g * b, n)
+                assert w_reduce(g * a, g * b, n) == want, (g * a, g * b, n)
+                assert w_reduce(g * b, g * a, n) == want, (g * b, g * a, n)
+
+
+def test_point_queries_grow_the_tables_only_past_their_end(monkeypatch, fresh_cusp_store):
+    monkeypatch.setattr(arith, "_sigma_tables", {})
+    calls = []
+    for name in ("shared_cusp_table", "sigma_table"):
+        def spy(*args, name=name, real=getattr(convolution, name)):
+            calls.append((name, *args))
+            return real(*args)
+
+        monkeypatch.setattr(convolution, name, spy)
+    assert w_reduce(1, 28, 29) == 1
+    assert calls == [("shared_cusp_table", 29), ("sigma_table", 1, 29), ("sigma_table", 3, 29)]
+    calls.clear()
+    # warm: every table reaches 64, so no query below it grows one
+    assert w_reduce(2, 56, 58) == 1
+    assert w_formula((4, 7), 11) == 1
+    for fn in (w_1_7_lemire, w_1_14_royer, r7_closed, lambda n: w_reduce(1, 28, n)):
+        for n in (1, 37, 64):
+            fn(n)
+    assert calls == []
+    # one query past the end grows each table once
+    w_reduce(3, 84, 3 * 65)
+    assert calls == [("shared_cusp_table", 65), ("sigma_table", 1, 65), ("sigma_table", 3, 65)]
+    assert eta._cusp_view.order == 128
+
+
+def test_w_reduce_names_a_corrupted_closed_form(monkeypatch):
+    good = FORMULAS[(1, 28)]
+    assert good[0].kind == "sigma3" and good[0].d == 1
+    bad = TermTable((good[0]._replace(const=Fraction(1, 121)),) + good[1:])
+    monkeypatch.setitem(FORMULAS, (1, 28), bad)
+    with pytest.raises(NonIntegralResult, match=r"^W\(1, 28\)\(\d+\) evaluated to "):
+        for n in range(1, 50):
+            w_reduce(2, 56, 2 * n)
 
 
 def test_term_table_integer_form():

@@ -191,6 +191,22 @@ def test_coeff_vector_validation():
         CoeffVector.make(dict.fromkeys(DILATIONS, 0), [0] * 8)
 
 
+@pytest.mark.parametrize("x, y", [
+    (dict.fromkeys(DILATIONS, 0), [0.1] + [0] * 8),
+    (dict.fromkeys(DILATIONS, 0.5), [0] * 9),
+])
+def test_coeff_vector_rejects_floats(x, y):
+    # Fraction(0.1) would keep the float's binary expansion as a coordinate
+    with pytest.raises(TypeError, match="got float"):
+        CoeffVector.make(x, y)
+
+
+def test_coeff_vector_takes_exact_coordinates():
+    vec = CoeffVector.make(dict.fromkeys(DILATIONS, Fraction(4, 2)), ["1/3", 2] + [0] * 7)
+    assert vec.x[1] == 2 and type(vec.x[1]) is int
+    assert vec.y[:2] == (Fraction(1, 3), 2)
+
+
 def test_reconstruct_rejects_a_vector_built_past_make():
     # zip would stop at the short side and read seven coordinates
     v = KNOWN_DECOMPOSITIONS[(1, 7)]

@@ -10,7 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from sigma_convolve.convolution import DELTA_FORMS, FORMULAS
+from sigma_convolve.convolution import (
+    DELTA_FORMS,
+    FORMULAS,
+    Term,
+    form_terms,
+    sigma1_terms,
+    sigma3_terms,
+)
 from sigma_convolve.deltaforms import LEMIRE_1_7
 from sigma_convolve.modforms import KNOWN_DECOMPOSITIONS
 from sigma_convolve.representations import (
@@ -98,3 +105,24 @@ def test_r7_closed_raw_is_the_convolution_formula():
     w_part = [*scaled_w((1, 7), 64, 1), *scaled_w((1, 7), 1024, 4),
               *scaled_w((4, 7), -256, 1), *scaled_w((1, 28), -256, 1)]
     assert collect(R7_CLOSED_RAW) == collect([*sigma_part, *w_part])
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: sigma3_terms({1: c}),
+    lambda c: sigma1_terms({1: (c, "1")}),
+    lambda c: sigma1_terms({1: ("1", c)}),
+    lambda c: form_terms({1: c}),
+    lambda c: form_terms({"4,7": c}),
+])
+def test_term_builders_reject_floats(build):
+    with pytest.raises(TypeError, match="got float"):
+        build(0.5)
+
+
+def test_term_builders_take_ints_fractions_and_literals():
+    for c in (3, Fraction(3, 7), "3/7", "-3/350"):
+        want = Fraction(c)
+        assert sigma3_terms({2: c}) == (Term("sigma3", 0, 2, want),)
+        assert sigma1_terms({2: (c, c)}) == (Term("sigma1", 0, 2, want, want),)
+        assert form_terms({"4,7": c}, d=4) == (Term("form", 1, 4, want),
+                                              Term("form", 2, 4, 4 * want))
