@@ -16,6 +16,7 @@ from .convolution import (
     w_brute,
     w_formula,
     w_reduce,
+    w_table,
 )
 from .deltaforms import (
     cube_bracket,
@@ -62,6 +63,7 @@ from .representations import (
     r7_closed,
     r7_closed_raw,
     r7_enumerate,
+    r7_table,
     r7_via_w,
     verify_cusp_shift_identity,
 )
@@ -111,6 +113,7 @@ __all__ = [
     "r7_closed",
     "r7_closed_raw",
     "r7_enumerate",
+    "r7_table",
     "r7_via_w",
     "reconstruct",
     "sigma",
@@ -124,4 +127,5 @@ __all__ = [
     "w_brute",
     "w_formula",
     "w_reduce",
+    "w_table",
 ]

@@ -7,6 +7,11 @@ turns one with denominator 1 back into an ``int``, and
 ``over_common_denominator`` puts a list of them over one denominator, so
 sums of them run in integers and are divided once at the end.
 
+Every table the package builds is bounded by one constant, ``MAX_ORDER``:
+a table, series or store indexed up to n allocates O(n) ints at once, so
+``check_size`` and ``grown_size`` raise ``OutOfRange`` past it before
+anything is allocated.
+
 Divisor sums come from one module-wide table per power k, sigma_k(0..m),
 built by a divisor-accumulation sieve and regrown by doubling
 (``sigma_table``). Code that reads many values takes the table; scalar
@@ -21,6 +26,14 @@ from itertools import repeat
 from math import isqrt, lcm
 from operator import add
 from typing import Iterable
+
+from .errors import OutOfRange
+
+# The largest index any table is built to: the sigma tables, the cusp
+# store, the oracle tables of ``convolution`` and ``representations``, and
+# the CLI's --n-max, --terms and --order. Past it a build would take
+# minutes and hundreds of MiB, so it raises OutOfRange instead.
+MAX_ORDER = 10**6
 
 
 def normalize(value: int | Fraction) -> int | Fraction:
@@ -103,12 +116,21 @@ def check_int(who: str, name: str, value: object, least: int | None = None,
         i += 3
 
 
+def check_size(who: str, n: int) -> None:
+    """The one size rule: a table indexed up to n needs n <= MAX_ORDER, or
+    OutOfRange names the caller ``who``."""
+    if n > MAX_ORDER:
+        raise OutOfRange(f"{who} needs an order <= {MAX_ORDER}, got {n}")
+
+
 def grown_size(have: int, need: int) -> int:
     """The size a module-wide table of size ``have`` regrows to when a read
-    needs ``need`` past it: max(need, 2 * have, 64), so ever larger reads
-    rebuild it a logarithmic number of times. Both the sigma tables and the
-    cusp store of ``eta`` grow by it."""
-    return max(need, 2 * have, 64)
+    needs ``need`` past it: max(need, 2 * have, 64), capped at MAX_ORDER,
+    so ever larger reads rebuild it a logarithmic number of times. A
+    ``need`` past MAX_ORDER raises OutOfRange. Both the sigma tables and
+    the cusp store of ``eta`` grow by it."""
+    check_size("a shared table", need)
+    return min(max(need, 2 * have, 64), MAX_ORDER)
 
 
 # k -> (sigma_k(0), ..., sigma_k(m)), sigma_k(0) = 0

@@ -9,14 +9,19 @@ from column header to a function of n. Two or more columns evaluate one
 quantity different ways: the table then gains a match column, and any
 disagreement exits 2. Rows are evaluated from the largest n down and
 printed in ascending order, so the first row builds each doubling library
-table (the cusp store, the sigma sieves) once, at the size it needs. Each
+table (the cusp store, the sigma sieves) once, at the size it needs. The
+oracle columns (``wab`` brute, ``r7`` enumerate) instead read whole
+tables, built by series products before the first row; in ``wab --mode
+both`` with a, b > 1 the formula's first row then regrows the sigma sieve
+that table read, once. Each
 verify identity is a check at a given order; the suite runs it at the
 requested order raised to the identity's Sturm bound, or to 3 for the
 cube-root consistency check, which has none.
 
 Exit codes: 0 success, 1 usage error, 2 table mismatch, 3 identity
-failure, 4 domain error (for example a fractional q-power). All
-arithmetic lives in the library modules.
+failure, 4 domain error (for example a fractional q-power, or an --n-max,
+--terms or --order past ``arith.MAX_ORDER``, rejected before any table is
+built). All arithmetic lives in the library modules.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from . import convolution, deltaforms, representations
-from .errors import FractionalExponent, NegativeValuation
+from .arith import MAX_ORDER
+from .errors import FractionalExponent, NegativeValuation, OutOfRange
 from .eisenstein import l_combination
 from .eta import EtaQuotientSpec, expand, ligozat_check
 from .modforms import (
@@ -102,13 +108,21 @@ def _require_at_least(value: int, flag: str, least: int) -> int:
     return value
 
 
+def _require_size(value: int, flag: str, least: int) -> int:
+    """A table size: at least ``least`` (else a usage error) and at most
+    MAX_ORDER (else OutOfRange, which ``main`` reports as a domain error)."""
+    if _require_at_least(value, flag, least) > MAX_ORDER:
+        raise OutOfRange(f"{flag} must be <= {MAX_ORDER}, got {value}")
+    return value
+
+
 # -- wab ----------------------------------------------------------------
 
 
 def cmd_wab(args: argparse.Namespace) -> int:
     a = _require_at_least(args.a, "--a", 1)
     b = _require_at_least(args.b, "--b", 1)
-    n_max = _require_at_least(args.n_max, "--n-max", 1)
+    n_max = _require_size(args.n_max, "--n-max", 1)
 
     columns: dict[str, Callable[[int], object]] = {}
     if args.mode in ("formula", "both"):
@@ -120,7 +134,7 @@ def cmd_wab(args: argparse.Namespace) -> int:
             return EXIT_DOMAIN
         columns["w_formula"] = lambda n: convolution.w_reduce(a, b, n)
     if args.mode in ("brute", "both"):
-        columns["w_brute"] = lambda n: convolution.w_brute(a, b, n)
+        columns["w_brute"] = convolution.w_table(a, b, n_max).__getitem__
     return _tabulate(args.format, n_max, columns)
 
 
@@ -183,7 +197,7 @@ _IDENTITY_SUITE: list[tuple[str, int | None, Callable[[int], bool]]] = [
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    order = _require_at_least(args.order, "--order", 1)
+    order = _require_size(args.order, "--order", 1)
     results = []
     for name, bound, check in _IDENTITY_SUITE:
         checked = max(order, bound or 3)
@@ -218,7 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_eta(args: argparse.Namespace) -> int:
-    terms = _require_at_least(args.terms, "--terms", 0)
+    terms = _require_size(args.terms, "--terms", 0)
     try:
         spec = EtaQuotientSpec.from_string(args.level, args.spec)
     except ValueError as exc:
@@ -251,20 +265,18 @@ def cmd_eta(args: argparse.Namespace) -> int:
 
 
 def cmd_r7(args: argparse.Namespace) -> int:
-    n_max = _require_at_least(args.n_max, "--n-max", 1)
+    n_max = _require_size(args.n_max, "--n-max", 1)
     modes = ("closed", "via-w", "enumerate") if args.mode == "all" else (args.mode,)
-    evaluators = {
-        "closed": representations.r7_closed,
-        "via-w": representations.r7_via_w,
-        "enumerate": representations.r7_enumerate,
-    }
+    evaluators = {"closed": representations.r7_closed, "via-w": representations.r7_via_w}
+    if "enumerate" in modes:
+        evaluators["enumerate"] = representations.r7_table(n_max).__getitem__
     return _tabulate(args.format, n_max, {m.replace("-", "_"): evaluators[m] for m in modes})
 
 
 # -- delta ----------------------------------------------------------------
 
 def cmd_delta(args: argparse.Namespace) -> int:
-    terms = _require_at_least(args.terms, "--terms", 1)
+    terms = _require_size(args.terms, "--terms", 1)
     series = deltaforms.delta_series(args.form, terms)
     return _tabulate(args.format, terms, {"coefficient": series.coefficient})
 
@@ -283,7 +295,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             f"pair {pair} not supported; choose from "
             + ", ".join(f"{p[0]},{p[1]}" for p in KNOWN_DECOMPOSITIONS)
         )
-    n_max = _require_at_least(args.n_max, "--n-max", MIN_DECOMPOSE_ORDER)
+    n_max = _require_size(args.n_max, "--n-max", MIN_DECOMPOSE_ORDER)
 
     _, _, vec = _decompose(pair, n_max, n_max)
     payload = {
@@ -349,6 +361,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliUsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except OutOfRange as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -2,9 +2,15 @@
 (l, m) with a*l + b*m = n: brute-force oracle, gcd reduction, and the one
 evaluator behind every closed form in the package.
 
-The oracle is the defining sum itself, taken term by term over the shared
-sigma table of ``arith``; it shares no code with the closed forms beyond
-that table, which the tests check against trial division.
+Two oracles compute W from its definition. ``w_brute`` is the point
+oracle: the defining sum at one n, taken term by term over the shared
+sigma table of ``arith``. ``w_table`` is the whole-table oracle: W(0..N)
+is the coefficient list of (sum sigma(l) q^(al)) (sum sigma(m) q^(bm)),
+one series product by the Kronecker kernel of ``qseries``. The per-row
+oracle shares no code with the closed forms beyond the sigma table, which
+the tests check against trial division; the table oracle also shares the
+Kronecker kernel with the sparse eta products, and the tests check that
+kernel against a schoolbook product and ``w_table`` against ``w_brute``.
 
 Each closed form (the five W_{a,b} formulas here, the level-7 and level-14
 formulas in ``deltaforms``, and both R_7 forms in ``representations``) is a
@@ -39,9 +45,10 @@ from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import arith, eta
-from .arith import check_int, exact_fraction, sigma_table
+from .arith import check_int, check_size, exact_fraction, sigma_table
 from .errors import NonIntegralResult
 from .eta import _cusp_series, shared_cusp_table
+from .qseries import _kronecker_product
 
 Pair = tuple[int, int]
 
@@ -227,6 +234,11 @@ def w_brute(a: int, b: int, n: int) -> int:
     strided slices of the sigma table.
     """
     check_int("w_brute", "a", a, 1, "b", b, 1, "n", n, 1)
+    return _w_brute(a, b, n)
+
+
+def _w_brute(a: int, b: int, n: int) -> int:
+    """``w_brute`` on arguments already checked."""
     g = gcd(a, b)
     if n % g:
         return 0
@@ -242,6 +254,27 @@ def w_brute(a: int, b: int, n: int) -> int:
     s = sigma_table(1, max((n - b) // a, m_max))
     # the l slice runs on to l <= 0 (at most s[0] = 0); map stops with the m slice
     return sum(map(mul, s[m0 : m_max + 1 : step_m], s[l0::-step_l]))
+
+
+def w_table(a: int, b: int, n_max: int) -> list[int]:
+    """W_{a,b}(0), ..., W_{a,b}(n_max) as one list, with W(0) = 0: the
+    whole-table oracle.
+
+    The sum over a*l + b*m = n is the q^n coefficient of
+    (sum sigma(l) q^(a*l)) (sum sigma(m) q^(b*m)), so the table is one
+    Kronecker product of the two dilated sigma lists, both read from one
+    sigma table. n_max must be at most ``arith.MAX_ORDER``.
+    """
+    check_int("w_table", "a", a, 1, "b", b, 1, "n_max", n_max, 0)
+    check_size("w_table", n_max)
+    s = sigma_table(1, n_max // min(a, b))
+
+    def dilated(t: int) -> list[int]:
+        out = [0] * (n_max + 1)
+        out[::t] = s[: n_max // t + 1]
+        return out
+
+    return _kronecker_product(dilated(a), dilated(b))
 
 
 # each closed form's label, made once: "W(1, 28)" for the pair (1, 28)
@@ -276,5 +309,5 @@ def w_reduce(a: int, b: int, n: int) -> int:
         return 0
     terms = FORMULAS.get(pair)
     if terms is None:
-        return w_brute(*pair, n // g)
+        return _w_brute(*pair, n // g)
     return _evaluate(terms, n // g, _LABELS[pair])

@@ -7,20 +7,35 @@ the divisor-sum-plus-convolution formula, and the closed form in sigma_3
 and cusp coefficients (simplified and raw, both term data for the
 evaluator in ``convolution``). Their pointwise agreement is the package's
 strongest end-to-end check.
+
+Enumeration comes in two shapes. The point oracles ``r4_enumerate`` and
+``r7_enumerate`` walk the disc x^2 + y^2 <= n once per call into the
+two-square counts r2(0..n) and sum dot products over them; they keep no
+cache and share no code with ``qseries``. The table oracle ``r7_table``
+walks the disc once and joins the series r4 = r2 * r2 and
+R7 = r4(q) * r4(q^7) by two Kronecker products, the kernel the sparse eta
+products use; the tests check it against ``r7_enumerate`` at every n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from operator import mul
 
-from .arith import check_int, over_common_denominator, sigma, sigma_scaled
-from .convolution import TermTable, evaluate, form_terms, sigma3_terms, w_formula
+from .arith import check_int, check_size, over_common_denominator, sigma, sigma_scaled
+from .convolution import (
+    FORMULAS,
+    _LABELS,
+    TermTable,
+    _evaluate,
+    evaluate,
+    form_terms,
+    sigma3_terms,
+)
 from .eta import c_series
 from .modforms import sturm_bound
-from .qseries import QSeries
+from .qseries import QSeries, _kronecker_product
 
 
 def r4_jacobi(n: int) -> int:
@@ -34,33 +49,57 @@ def r4_jacobi(n: int) -> int:
     return 8 * sigma(1, n) - 32 * sigma_scaled(1, n, 4)
 
 
-@lru_cache(maxsize=None)
-def r4_enumerate(n: int) -> int:
-    """Four-squares count by lattice enumeration.
-
-    Enumerates the lattice points of the disc x^2 + y^2 <= n, walking the
-    nonnegative quadrant with weight 2 per nonzero coordinate, into the
-    two-square counts r2(k) for k <= n. A point of Z^4 on the sphere of
-    norm n splits into two planar points of norms k and n - k, so
-    r4(n) = sum over k of r2(k) * r2(n - k).
-    """
-    check_int("r4_enumerate", "n", n)
-    if n < 0:
-        return 0
+def _r2_table(n: int) -> list[int]:
+    """The two-square counts r2(0), ..., r2(n) for n >= 0, from the lattice
+    points of the disc x^2 + y^2 <= n: the nonnegative quadrant is walked
+    with weight 2 per nonzero coordinate."""
     r2 = [0] * (n + 1)
     for x in range(isqrt(n) + 1):
         wx, x2 = (2 if x else 1), x * x
         for y in range(isqrt(n - x2) + 1):
             r2[x2 + y * y] += wx * (2 if y else 1)
-    return sum(map(mul, r2, reversed(r2)))
+    return r2
+
+
+def _r4_at(r2: list[int], k: int) -> int:
+    """r4(k) from r2 covering 0..k: a point of Z^4 on the sphere of norm k
+    splits into two planar points of norms i and k - i."""
+    return sum(map(mul, r2, r2[k::-1]))
+
+
+def r4_enumerate(n: int) -> int:
+    """Four-squares count by lattice enumeration: r2(0..n) from the disc of
+    radius sqrt(n), then r4(n) = sum over k of r2(k) * r2(n - k). Nothing
+    is cached; n must be at most ``arith.MAX_ORDER``."""
+    check_int("r4_enumerate", "n", n)
+    if n < 0:
+        return 0
+    check_size("r4_enumerate", n)
+    return _r4_at(_r2_table(n), n)
 
 
 def r7_enumerate(n: int) -> int:
-    """R7 by enumeration, split over n = l + 7m: sum of r4(l)*r4(m)."""
+    """R7 by enumeration, split over n = l + 7m: sum of r4(l)*r4(m). One
+    disc walk gives r2(0..n); each r4 is a dot product over it."""
     check_int("r7_enumerate", "n", n)
     if n < 0:
         return 0
-    return sum(r4_enumerate(n - 7 * m) * r4_enumerate(m) for m in range(n // 7 + 1))
+    check_size("r7_enumerate", n)
+    r2 = _r2_table(n)
+    return sum(_r4_at(r2, n - 7 * m) * _r4_at(r2, m) for m in range(n // 7 + 1))
+
+
+def r7_table(n_max: int) -> list[int]:
+    """R7(0), ..., R7(n_max) as one list, with R7(0) = 1: the whole-table
+    oracle. r4 = r2 * r2 and R7 = r4(q) * r4(q^7) as series, two Kronecker
+    products over one disc walk. n_max must be at most ``arith.MAX_ORDER``."""
+    check_int("r7_table", "n_max", n_max, 0)
+    check_size("r7_table", n_max)
+    r2 = _r2_table(n_max)
+    r4 = _kronecker_product(r2, r2)
+    r4_q7 = [0] * (n_max + 1)
+    r4_q7[::7] = r4[: n_max // 7 + 1]
+    return _kronecker_product(r4, r4_q7)
 
 
 def r7_via_w(n: int) -> int:
@@ -74,11 +113,16 @@ def r7_via_w(n: int) -> int:
         + 8 * sigma_scaled(1, n, 7)
         - 32 * sigma_scaled(1, n, 28)
     )
-    total += 64 * w_formula((1, 7), n)
+    total += 64 * _w_closed(1, 7, n)
     if n % 4 == 0:
-        total += 1024 * w_formula((1, 7), n // 4)
-    total -= 256 * (w_formula((4, 7), n) + w_formula((1, 28), n))
+        total += 1024 * _w_closed(1, 7, n // 4)
+    total -= 256 * (_w_closed(4, 7, n) + _w_closed(1, 28, n))
     return total
+
+
+def _w_closed(a: int, b: int, n: int) -> int:
+    """The closed form of W_{a,b} at an n already checked."""
+    return _evaluate(FORMULAS[a, b], n, _LABELS[a, b])
 
 
 R7_CLOSED = TermTable((

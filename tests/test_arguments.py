@@ -19,6 +19,7 @@ from sigma_convolve.convolution import (
     w_brute,
     w_formula,
     w_reduce,
+    w_table,
 )
 from sigma_convolve.deltaforms import (
     cube_bracket,
@@ -37,6 +38,7 @@ from sigma_convolve.representations import (
     r7_closed,
     r7_closed_raw,
     r7_enumerate,
+    r7_table,
     r7_via_w,
     verify_cusp_shift_identity,
 )
@@ -82,6 +84,9 @@ CASES = [
     ("w_brute", "a", 1, lambda v: w_brute(v, 28, 100)),
     ("w_brute", "b", 1, lambda v: w_brute(1, v, 100)),
     ("w_brute", "n", 1, lambda v: w_brute(1, 28, v)),
+    ("w_table", "a", 1, lambda v: w_table(v, 28, 100)),
+    ("w_table", "b", 1, lambda v: w_table(1, v, 100)),
+    ("w_table", "n_max", 0, lambda v: w_table(1, 28, v)),
     ("W(1, 28)", "n", 1, lambda v: w_formula((1, 28), v)),
     ("w_reduce", "a", 1, lambda v: w_reduce(v, 28, 100)),
     ("w_reduce", "b", 1, lambda v: w_reduce(1, v, 100)),
@@ -103,6 +108,7 @@ CASES = [
     ("r4_jacobi", "n", None, r4_jacobi),
     ("r4_enumerate", "n", None, r4_enumerate),
     ("r7_enumerate", "n", None, r7_enumerate),
+    ("r7_table", "n_max", 0, r7_table),
     ("r7_via_w", "n", 1, r7_via_w),
     ("R7", "n", 1, r7_closed),
     ("R7_raw", "n", 1, r7_closed_raw),

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigma_convolve.errors import OutOfRange
+
 import sigma_convolve.arith as arith
+import sigma_convolve.eta as eta
 from sigma_convolve.arith import (
+    MAX_ORDER,
     divisors,
+    grown_size,
     normalize,
     prime_factors,
     sigma,
@@ -114,6 +119,29 @@ def test_scalar_sigma_beyond_table_leaves_it_alone(no_sigma_tables):
     # both sides of the table's end
     assert [sigma(3, n) for n in range(size + 2)] == [naive_sigma(3, n) for n in range(size + 2)]
     assert sigma(3, 0) == 0 and sigma(3, -5) == 0  # never read from the end
+
+
+def test_grown_size_stops_at_max_order():
+    assert grown_size(-1, 10) == 64
+    assert grown_size(600_000, 600_001) == MAX_ORDER
+    assert grown_size(0, MAX_ORDER) == MAX_ORDER
+    with pytest.raises(OutOfRange, match=rf"needs an order <= {MAX_ORDER}, got {MAX_ORDER + 1}$"):
+        grown_size(MAX_ORDER, MAX_ORDER + 1)
+
+
+def test_oversize_reads_change_no_table():
+    sigma_table(1, 100)
+    tables, store, view = dict(arith._sigma_tables), dict(eta._cusp_cache), eta._cusp_view
+    with pytest.raises(OutOfRange):
+        sigma_table(1, MAX_ORDER + 1)
+    with pytest.raises(OutOfRange):
+        sigma_table(2, 10**8)
+    # the cusp store grows by the same rule
+    with pytest.raises(OutOfRange):
+        eta.c_series(1, MAX_ORDER + 1)
+    assert arith._sigma_tables.keys() == tables.keys()
+    assert all(arith._sigma_tables[k] is t for k, t in tables.items())
+    assert eta._cusp_cache == store and eta._cusp_view is view
 
 
 def test_sigma_multiplicative_on_coprime_pairs():

@@ -317,10 +317,10 @@ def test_eta_fractional_power_is_domain_error(capsys):
 
 
 def test_eta_bad_q_power_fails_before_expanding(capsys):
-    # the q-power is checked first, so a huge --terms costs nothing
+    # the q-power is checked first, so the largest --terms costs nothing
     start = time.monotonic()
     code, out, err = run_cli(
-        capsys, "eta", "--level", "28", "--spec", "1:5", "--terms", "5000000"
+        capsys, "eta", "--level", "28", "--spec", "1:5", "--terms", str(arith.MAX_ORDER)
     )
     assert time.monotonic() - start < 5
     assert code == EXIT_DOMAIN
@@ -418,6 +418,27 @@ def test_cli_expands_only_the_generators_its_table_reads(capsys, fresh_cusp_stor
     code, _, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert set(eta._cusp_cache) == expanded
+
+
+@pytest.mark.parametrize("argv, point_oracle", [
+    (("wab", "--a", "3", "--b", "8", "--n-max", "300", "--mode", "brute"), "w_brute"),
+    (("wab", "--a", "1", "--b", "7", "--n-max", "300", "--mode", "both"), "w_brute"),
+    (("r7", "--n-max", "300", "--mode", "enumerate"), "r7_enumerate"),
+])
+def test_oracle_columns_read_whole_tables(capsys, monkeypatch, fresh_cusp_store, argv,
+                                          point_oracle):
+    module = cli.convolution if point_oracle == "w_brute" else cli.representations
+
+    def no_point_oracle(*args):
+        raise AssertionError(f"{point_oracle}{args} called")
+
+    monkeypatch.setattr(module, point_oracle, no_point_oracle)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    # the table oracles never expand an eta quotient; --mode both still
+    # reads the closed form's two generators
+    expanded = {j for j, _ in fresh_cusp_store}
+    assert expanded == ({1, 2} if "both" in argv else set())
 
 
 # -- r7 ---------------------------------------------------------------
@@ -563,6 +584,27 @@ def test_module_entry_point_matches_main(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert proc.stdout == out.encode()
+
+
+PAST_MAX = str(arith.MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("wab", "--a", "1", "--b", "28", "--n-max", "100000000", "--mode", "brute"), "--n-max"),
+    (("eta", "--level", "28", "--spec", "1:2,2:2,7:2,14:2", "--terms", "100000000"), "--terms"),
+    (("r7", "--n-max", "100000000", "--mode", "enumerate"), "--n-max"),
+    (("verify", "--order", PAST_MAX), "--order"),
+    (("delta", "--form", "4,7", "--terms", PAST_MAX), "--terms"),
+    (("decompose", "--pair", "1,7", "--n-max", PAST_MAX), "--n-max"),
+])
+def test_sizes_past_max_order_are_domain_errors(capsys, argv, flag):
+    start = time.process_time()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.process_time() - start < 0.5
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    value = argv[argv.index(flag) + 1]
+    assert err == f"error: {flag} must be <= {arith.MAX_ORDER}, got {value}\n"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sigma_convolve.arith as arith
 import sigma_convolve.convolution as convolution
 import sigma_convolve.eta as eta
-from sigma_convolve.arith import grown_size, sigma, sigma_scaled, sigma_table
+from sigma_convolve.arith import MAX_ORDER, grown_size, sigma, sigma_scaled, sigma_table
 from sigma_convolve.convolution import (
     CLOSED_FORM_PAIRS,
     FORMULAS,
@@ -19,10 +19,11 @@ from sigma_convolve.convolution import (
     w_brute,
     w_formula,
     w_reduce,
+    w_table,
 )
 from sigma_convolve.deltaforms import LEMIRE_1_7, ROYER_1_14, w_1_7_lemire, w_1_14_royer
 from sigma_convolve.eisenstein import l_combination
-from sigma_convolve.errors import NonIntegralResult
+from sigma_convolve.errors import NonIntegralResult, OutOfRange
 from sigma_convolve.eta import CuspTable, c_series, cusp_spec, expand
 from sigma_convolve.representations import R7_CLOSED, R7_CLOSED_RAW, r7_closed
 
@@ -81,6 +82,36 @@ def test_w_brute_symmetric():
     for a, b in CLOSED_FORM_PAIRS:
         for n in (10, 29, 56, 100):
             assert w_brute(a, b, n) == w_brute(b, a, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.integers(1, 40), b=st.integers(1, 40), n_max=st.integers(1, 600))
+@example(a=1, b=1, n_max=1)
+@example(a=40, b=40, n_max=600)
+def test_w_table_matches_w_brute(a, b, n_max):
+    table = w_table(a, b, n_max)
+    assert len(table) == n_max + 1 and table[0] == 0
+    assert table[1:] == [w_brute(a, b, n) for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("a, b", [
+    (1, 28), (4, 7),
+    (6, 4),     # gcd > 1 and a > b
+    (3, 3),     # a = b
+    (2500, 1),  # a past n_max: only the l = 0 column is dilated, so all zero
+])
+def test_w_table_matches_w_brute_to_2000(a, b):
+    table = w_table(a, b, 2000)
+    assert table[1:] == [w_brute(a, b, n) for n in range(1, 2001)]
+
+
+def test_w_table_edges():
+    assert w_table(1, 1, 0) == [0]
+    assert w_table(1, 1, 3) == [0, 0, 1, 6]
+    assert w_table(5, 7, 11) == [0] * 12
+    assert w_table(5, 7, 12) == [0] * 12 + [1]
+    with pytest.raises(OutOfRange, match=r"^w_table needs an order <= 1000000, got 1000001$"):
+        w_table(1, 28, MAX_ORDER + 1)
 
 
 def test_w_reduce_examples():
@@ -311,6 +342,19 @@ def test_point_queries_grow_the_tables_only_past_their_end(monkeypatch, fresh_cu
     w_reduce(3, 84, 3 * 65)
     assert calls == [("shared_cusp_table", 65), ("sigma_table", 1, 65), ("sigma_table", 3, 65)]
     assert eta._cusp_view.order == 128
+
+
+@pytest.mark.parametrize("pair", [(3, 5), (1, 28)])
+def test_w_reduce_checks_its_arguments_once(monkeypatch, pair):
+    whos = []
+
+    def spy(who, *args):
+        whos.append(who)
+        return arith.check_int(who, *args)
+
+    monkeypatch.setattr(convolution, "check_int", spy)
+    w_reduce(*pair, 40)
+    assert whos == ["w_reduce"]
 
 
 def test_w_reduce_names_a_corrupted_closed_form(monkeypatch):

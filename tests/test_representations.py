@@ -2,14 +2,19 @@ from math import isqrt
 
 import pytest
 
+import sigma_convolve.arith as arith
+import sigma_convolve.convolution as convolution
+import sigma_convolve.representations as representations
+from sigma_convolve.arith import MAX_ORDER
 from sigma_convolve.convolution import TermTable, w_formula
-from sigma_convolve.errors import NonIntegralResult
+from sigma_convolve.errors import NonIntegralResult, OutOfRange
 from sigma_convolve.representations import (
     r4_enumerate,
     r4_jacobi,
     r7_closed,
     r7_closed_raw,
     r7_enumerate,
+    r7_table,
     r7_via_w,
     verify_cusp_shift_identity,
 )
@@ -61,6 +66,36 @@ def test_r7_enumerate_examples():
     assert r7_enumerate(0) == 1
     assert r7_enumerate(1) == 8
     assert r7_enumerate(7) == 72
+
+
+def test_r4_enumerate_keeps_no_cache():
+    assert not hasattr(r4_enumerate, "cache_info")
+
+
+def test_r7_table_matches_r7_enumerate():
+    table = r7_table(600)
+    assert len(table) == 601
+    assert table == [r7_enumerate(n) for n in range(601)]
+    assert r7_table(0) == [1]
+
+
+@pytest.mark.parametrize("fn", [r4_enumerate, r7_enumerate, r7_table])
+def test_enumerations_refuse_sizes_past_max_order(fn):
+    with pytest.raises(OutOfRange, match=rf"^{fn.__name__} needs an order <= {MAX_ORDER}, "):
+        fn(MAX_ORDER + 1)
+
+
+def test_r7_via_w_checks_n_once(monkeypatch):
+    whos = []
+
+    def spy(who, *args):
+        whos.append(who)
+        return arith.check_int(who, *args)
+
+    monkeypatch.setattr(representations, "check_int", spy)
+    monkeypatch.setattr(convolution, "check_int", spy)
+    assert r7_via_w(56) == 74008
+    assert whos == ["r7_via_w"]
 
 
 def test_r7_via_w_examples():
