@@ -13,13 +13,14 @@ Kronecker kernel with the sparse eta products, and the tests check that
 kernel against a schoolbook product and ``w_table`` against ``w_brute``.
 
 Each closed form (the five W_{a,b} formulas here, the level-7 and level-14
-formulas in ``deltaforms``, and both R_7 forms in ``representations``) is a
-``TermTable``, a tuple of ``Term``s: a rational combination of
+formulas in ``deltaforms``, and the three R_7 tables in ``representations``)
+is a ``TermTable``, a tuple of ``Term``s: a rational combination of
 sigma_3(n/d), (const + slope*n)*sigma(n/d) and cusp coefficients c_j(n/d),
 each zero unless d divides n. The coefficient tables are data, one literal
 per published coefficient, so they can be audited line by line. Terms on
 the lower-level forms of ``DELTA_FORMS`` are expanded into generator terms
-when the table is built.
+when the table is built. ``scaled`` makes the Terms of k*T(n/t), the one
+way a table is dilated.
 
 A ``TermTable`` also carries its integer form, made once when the table is
 built: L, the lcm of every coefficient's denominator, and the coefficients
@@ -40,12 +41,12 @@ store and the sigma tables are built once.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import arith, eta
-from .arith import check_int, check_size, exact_fraction, sigma_table
+from .arith import check_int, check_size, exact_fraction, over_common_denominator, sigma_table
 from .errors import NonIntegralResult
 from .eta import _cusp_series, shared_cusp_table
 from .qseries import _kronecker_product
@@ -84,22 +85,17 @@ class TermTable(tuple):
 
     def __new__(cls, terms: Iterable[Term] = ()) -> "TermTable":
         self = super().__new__(cls, terms)
-        den = lcm(*(c.denominator for t in self for c in (t.const, t.slope)))
-
-        def scaled(c: Fraction) -> int:
-            return c.numerator * (den // c.denominator)
-
+        nums, den = over_common_denominator(c for t in self for c in (t.const, t.slope))
         # d -> [sigma3 coef, sigma1 const, sigma1 slope, {form: coef}]
         by_d: dict[int, list] = {}
-        for kind, form, d, const, slope in self:
+        for (kind, form, d, _, _), c, s in zip(self, nums[::2], nums[1::2]):
             check_int("TermTable", "d", d, 1)
             row = by_d.setdefault(d, [0, 0, 0, {}])
-            c = scaled(const)
             if kind == "sigma3":
                 row[0] += c
             elif kind == "sigma1":
                 row[1] += c
-                row[2] += scaled(slope)
+                row[2] += s
             elif kind == "form":
                 row[3][form] = row[3].get(form, 0) + c
             else:
@@ -131,15 +127,24 @@ def sigma1_terms(coefs: dict[int, tuple[str, str]]) -> tuple[Term, ...]:
     )
 
 
-def form_terms(coefs: dict[int | str, str], d: int = 1) -> tuple[Term, ...]:
-    """{j or DELTA_FORMS name: coef} -> coef*c_j(n/d) terms, with each named
+def form_terms(coefs: dict[int | str, str]) -> tuple[Term, ...]:
+    """{j or DELTA_FORMS name: coef} -> coef*c_j(n) terms, with each named
     form expanded into its generators."""
     out: list[Term] = []
     for form, c in coefs.items():
         combo = DELTA_FORMS[form] if isinstance(form, str) else {form: 1}
         c = exact_fraction(c)
-        out.extend(Term("form", j, d, c * k) for j, k in combo.items())
+        out.extend(Term("form", j, 1, c * k) for j, k in combo.items())
     return tuple(out)
+
+
+def scaled(terms: Iterable[Term], k: int = 1, t: int = 1) -> tuple[Term, ...]:
+    """The Terms of k*T(n/t), zero unless t | n: each d times t, each const
+    times k and each slope times k/t, since (c + s*n/t)*sigma(n/(t*d)) is
+    the sigma term of T at n/t."""
+    check_int("scaled", "k", k, None, "t", t, 1)
+    return tuple(Term(kind, form, d * t, k * const, k * slope / t)
+                 for kind, form, d, const, slope in terms)
 
 
 FORMULAS: dict[Pair, TermTable] = {

@@ -18,6 +18,7 @@ from .convolution import (
     TermTable,
     evaluate,
     form_terms,
+    scaled,
     sigma1_terms,
     sigma3_terms,
 )
@@ -73,7 +74,7 @@ ROYER_1_14 = TermTable((
     *sigma3_terms({1: "1/600", 2: "1/150", 7: "49/600", 14: "49/150"}),
     *sigma1_terms({1: ("1/24", "-1/56"), 14: ("1/24", "-1/4")}),
     *form_terms({"4,7": "-3/350", "4,14,1": "-1/84", "4,14,2": "-1/200"}),
-    *form_terms({"4,7": "-6/175"}, d=2),
+    *scaled(form_terms({"4,7": "-6/175"}), t=2),
 ))
 
 LEMIRE_1_7 = TermTable((

@@ -33,7 +33,6 @@ DILATIONS = (1, 2, 4, 7, 14, 28)
 # level 28; validated by the rank checks in the test suite, not computed
 EISENSTEIN_DIMENSION = 6
 CUSP_DIMENSION = 9
-SPACE_DIMENSION = EISENSTEIN_DIMENSION + CUSP_DIMENSION
 
 MIN_DECOMPOSE_ORDER = 16
 

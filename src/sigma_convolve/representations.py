@@ -3,10 +3,10 @@ eight-variable form x1^2+x2^2+x3^2+x4^2 + 7(x5^2+x6^2+x7^2+x8^2).
 
 R7 is computed three independent ways: lattice enumeration (the oracle,
 which counts four-square representations through two-square counts),
-the divisor-sum-plus-convolution formula, and the closed form in sigma_3
-and cusp coefficients (simplified and raw, both term data for the
-evaluator in ``convolution``). Their pointwise agreement is the package's
-strongest end-to-end check.
+the convolution-sum formula ``R7_VIA_W`` (built from ``FORMULAS``), and
+the closed form in sigma_3 and cusp coefficients (simplified and raw):
+three term tables for the evaluator in ``convolution``. Their pointwise
+agreement is the package's strongest end-to-end check.
 
 Enumeration comes in two shapes. The point oracles ``r4_enumerate`` and
 ``r7_enumerate`` walk the disc x^2 + y^2 <= n once per call into the
@@ -26,11 +26,11 @@ from operator import mul
 from .arith import check_int, check_size, over_common_denominator, sigma, sigma_scaled
 from .convolution import (
     FORMULAS,
-    _LABELS,
     TermTable,
-    _evaluate,
     evaluate,
     form_terms,
+    scaled,
+    sigma1_terms,
     sigma3_terms,
 )
 from .eta import c_series
@@ -102,27 +102,20 @@ def r7_table(n_max: int) -> list[int]:
     return _kronecker_product(r4, r4_q7)
 
 
+# R_7 = 8 sigma(n) - 32 sigma(n/4) + 8 sigma(n/7) - 32 sigma(n/28) + 64 W_{1,7}(n)
+#       + 1024 W_{1,7}(n/4) - 256 (W_{4,7}(n) + W_{1,28}(n))
+R7_VIA_W = TermTable((
+    *sigma1_terms({1: (8, 0), 4: (-32, 0), 7: (8, 0), 28: (-32, 0)}),
+    *scaled(FORMULAS[1, 7], 64),
+    *scaled(FORMULAS[1, 7], 1024, 4),
+    *scaled(FORMULAS[4, 7], -256),
+    *scaled(FORMULAS[1, 28], -256),
+))
+
+
 def r7_via_w(n: int) -> int:
-    """R7 by the divisor-sum and convolution-sum formula:
-    8 sigma(n) - 32 sigma(n/4) + 8 sigma(n/7) - 32 sigma(n/28)
-    + 64 W_{1,7}(n) + 1024 W_{1,7}(n/4) - 256 (W_{4,7}(n) + W_{1,28}(n))."""
-    check_int("r7_via_w", "n", n, 1)
-    total = (
-        8 * sigma(1, n)
-        - 32 * sigma_scaled(1, n, 4)
-        + 8 * sigma_scaled(1, n, 7)
-        - 32 * sigma_scaled(1, n, 28)
-    )
-    total += 64 * _w_closed(1, 7, n)
-    if n % 4 == 0:
-        total += 1024 * _w_closed(1, 7, n // 4)
-    total -= 256 * (_w_closed(4, 7, n) + _w_closed(1, 28, n))
-    return total
-
-
-def _w_closed(a: int, b: int, n: int) -> int:
-    """The closed form of W_{a,b} at an n already checked."""
-    return _evaluate(FORMULAS[a, b], n, _LABELS[a, b])
+    """R7 by the convolution-sum formula, summed as the one table R7_VIA_W."""
+    return evaluate(R7_VIA_W, n, "r7_via_w")
 
 
 R7_CLOSED = TermTable((
@@ -141,7 +134,7 @@ R7_CLOSED_RAW = TermTable((
     *form_terms({1: "-6816/1225", 2: "-5696/175", 3: "32/7",
                  4: "16224/1225", 5: "21248/175", 6: "768/5",
                  7: "-10624/175", 8: "166912/175", 9: "166912/175"}),
-    *form_terms({"4,7": "-512/35"}, d=4),
+    *scaled(form_terms({"4,7": "-512/35"}), t=4),
 ))
 
 
@@ -173,8 +166,8 @@ def verify_cusp_shift_identity(order: int) -> bool:
     leaves the expression non-integral reads as False, not as an error."""
     check_int("verify_cusp_shift_identity", "order", order, sturm_bound(SHIFT_IDENTITY_LEVEL))
     lhs = c_series(1, order).substitute_power(4) + 4 * c_series(2, order).substitute_power(4)
-    scaled, den = over_common_denominator(SHIFT_IDENTITY_COEFFS.values())
+    nums, den = over_common_denominator(SHIFT_IDENTITY_COEFFS.values())
     rhs = QSeries.linear_combination(
-        ((c_series(j, order), k) for j, k in zip(SHIFT_IDENTITY_COEFFS, scaled)), order
+        ((c_series(j, order), k) for j, k in zip(SHIFT_IDENTITY_COEFFS, nums)), order
     )
     return (den * lhs).equal_up_to(rhs, order)

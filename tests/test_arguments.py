@@ -15,6 +15,7 @@ from sigma_convolve.convolution import (
     Term,
     TermTable,
     evaluate,
+    scaled,
     shared_cusp_table,
     w_brute,
     w_formula,
@@ -81,6 +82,8 @@ CASES = [
     ("TermTable", "d", 1, lambda v: TermTable([Term("sigma3", 0, v, Fraction(1))])),
     ("shared_cusp_table", "min_order", 1, shared_cusp_table),
     ("W(1,7)", "n", 1, lambda v: evaluate(FORMULAS[(1, 7)], v, "W(1,7)")),
+    ("scaled", "k", None, lambda v: scaled(FORMULAS[(1, 7)], v)),
+    ("scaled", "t", 1, lambda v: scaled(FORMULAS[(1, 7)], 1, v)),
     ("w_brute", "a", 1, lambda v: w_brute(v, 28, 100)),
     ("w_brute", "b", 1, lambda v: w_brute(1, v, 100)),
     ("w_brute", "n", 1, lambda v: w_brute(1, 28, v)),

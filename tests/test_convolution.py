@@ -15,6 +15,7 @@ from sigma_convolve.convolution import (
     Term,
     TermTable,
     evaluate,
+    scaled,
     shared_cusp_table,
     w_brute,
     w_formula,
@@ -254,6 +255,18 @@ def test_evaluate_matches_fraction_reference_to_2000(label):
     shared_cusp_table(2000)
     for n in range(1, 2001):
         assert evaluate(terms, n, label) == fraction_evaluate(terms, n, label), (label, n)
+
+
+@pytest.mark.parametrize("label", sorted(PUBLISHED))
+def test_scaled_table_is_the_dilated_multiple(label):
+    # the Terms of k T(n/t) evaluate to k T(n/t) when t | n, else to 0
+    terms = PUBLISHED[label]
+    for k in (1, -3, 64):
+        for t in (1, 2, 4, 7):
+            table = TermTable(scaled(terms, k, t))
+            for n in range(1, 401):
+                want = k * evaluate(terms, n // t, label) if n % t == 0 else 0
+                assert evaluate(table, n, label) == want, (k, t, n)
 
 
 KERNEL_N_MAX = 2500

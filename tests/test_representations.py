@@ -106,6 +106,12 @@ def test_r7_via_w_examples():
         r7_via_w(0)
 
 
+def test_r7_via_w_matches_the_table_oracle_to_2000():
+    table = r7_table(2000)
+    for n in range(2000, 0, -1):
+        assert r7_via_w(n) == table[n], n
+
+
 def test_r7_closed_examples():
     assert r7_closed(1) == 8
     assert r7_closed(7) == 72

@@ -15,6 +15,7 @@ from sigma_convolve.convolution import (
     FORMULAS,
     Term,
     form_terms,
+    scaled,
     sigma1_terms,
     sigma3_terms,
 )
@@ -23,6 +24,7 @@ from sigma_convolve.modforms import KNOWN_DECOMPOSITIONS
 from sigma_convolve.representations import (
     R7_CLOSED,
     R7_CLOSED_RAW,
+    R7_VIA_W,
     SHIFT_IDENTITY_COEFFS,
 )
 
@@ -89,22 +91,15 @@ def test_r7_closed_absorbs_the_dilated_tail_by_the_shift_identity():
     assert collect(R7_CLOSED) == collect([*head, *shifted])
 
 
-def scaled_w(pair, k, t):
-    """Entries of k W_pair(n/t): each d times t, each const times k and
-    each slope times k/t, since (c + s n/t) sigma(n/(t d)) is the sigma
-    term of W at n/t."""
-    return [(kind, form, d * t, k * const, Fraction(k, t) * slope)
-            for kind, form, d, const, slope in FORMULAS[pair]]
-
-
 def test_r7_closed_raw_is_the_convolution_formula():
     # R_7(n) = 8 s(n) - 32 s(n/4) + 8 s(n/7) - 32 s(n/28) + 64 W_{1,7}(n)
     #          + 1024 W_{1,7}(n/4) - 256 (W_{4,7}(n) + W_{1,28}(n))
     sigma_part = [("sigma1", 0, d, Fraction(c), ZERO)
                   for d, c in {1: 8, 4: -32, 7: 8, 28: -32}.items()]
-    w_part = [*scaled_w((1, 7), 64, 1), *scaled_w((1, 7), 1024, 4),
-              *scaled_w((4, 7), -256, 1), *scaled_w((1, 28), -256, 1)]
-    assert collect(R7_CLOSED_RAW) == collect([*sigma_part, *w_part])
+    w_part = [*scaled(FORMULAS[1, 7], 64), *scaled(FORMULAS[1, 7], 1024, 4),
+              *scaled(FORMULAS[4, 7], -256), *scaled(FORMULAS[1, 28], -256)]
+    assert collect(R7_VIA_W) == collect([*sigma_part, *w_part])
+    assert collect(R7_CLOSED_RAW) == collect(R7_VIA_W)
 
 
 @pytest.mark.parametrize("build", [
@@ -124,5 +119,5 @@ def test_term_builders_take_ints_fractions_and_literals():
         want = Fraction(c)
         assert sigma3_terms({2: c}) == (Term("sigma3", 0, 2, want),)
         assert sigma1_terms({2: (c, c)}) == (Term("sigma1", 0, 2, want, want),)
-        assert form_terms({"4,7": c}, d=4) == (Term("form", 1, 4, want),
-                                              Term("form", 2, 4, 4 * want))
+        assert scaled(form_terms({"4,7": c}), t=4) == (Term("form", 1, 4, want),
+                                                      Term("form", 2, 4, 4 * want))
