@@ -7,7 +7,6 @@ form ships with an independent brute-force oracle it is tested against.
 
 from .arith import divisors, normalize, prime_factors, sigma, sigma_scaled, sigma_table
 from .convolution import (
-    CLOSED_FORM_PAIRS,
     DELTA_FORMS,
     FORMULAS,
     Term,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadLeadingTerm",
     "Basis28",
-    "CLOSED_FORM_PAIRS",
     "CUSP_GENERATORS",
     "CoeffVector",
     "CuspTable",

@@ -154,7 +154,7 @@ def _decompose(
 
 
 def _check_decomposition(pair: tuple[int, int], order: int) -> bool:
-    basis, target, vec = _decompose(pair, order, sturm_bound(28))
+    basis, target, vec = _decompose(pair, order, MIN_DECOMPOSE_ORDER)
     return vec == KNOWN_DECOMPOSITIONS[pair] and reconstruct(vec, basis).equal_up_to(target, order)
 
 
@@ -181,7 +181,7 @@ def _check_vs_brute(formula: Callable[[int], int], pair: tuple[int, int], order:
 # (name, Sturm bound or None, check(order) -> ok). cmd_verify runs each
 # check at max(order, bound or 3); 3 is the least order of the cube root.
 _IDENTITY_SUITE: list[tuple[str, int | None, Callable[[int], bool]]] = [
-    *((f"decomposition ({a},{b})", sturm_bound(28), partial(_check_decomposition, (a, b)))
+    *((f"decomposition ({a},{b})", MIN_DECOMPOSE_ORDER, partial(_check_decomposition, (a, b)))
       for a, b in KNOWN_DECOMPOSITIONS),
     (f"cusp shift (level {representations.SHIFT_IDENTITY_LEVEL})",
      sturm_bound(representations.SHIFT_IDENTITY_LEVEL),

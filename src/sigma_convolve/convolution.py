@@ -181,7 +181,6 @@ FORMULAS: dict[Pair, TermTable] = {
     )),
 }
 
-CLOSED_FORM_PAIRS: tuple[Pair, ...] = tuple(FORMULAS)
 
 def evaluate(terms: TermTable, n: int, label: str) -> int:
     """A closed form at n, summed in integers over the denominator of its

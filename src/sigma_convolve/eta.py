@@ -46,7 +46,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .arith import check_int, divisors, grown_size, is_int, normalize, sigma_table
+from .arith import check_int, check_size, divisors, grown_size, is_int, normalize, sigma_table
 from .errors import FractionalExponent, NegativeValuation
 from .qseries import QSeries, _kronecker_product
 
@@ -204,8 +204,9 @@ def _product_body(exponents: Mapping[int, int], order: int) -> list[int]:
 def expand(spec: EtaQuotientSpec, order: int) -> QSeries:
     """Full q-expansion of an eta quotient as a plain series.
 
-    The order must be an int >= 0, and the q-power q^(offset24/24) whole
-    and nonnegative; both are checked before any series is built. An eta
+    The order must be an int >= 0, the q-power q^(offset24/24) whole
+    and nonnegative, and then the order at most MAX_ORDER (else
+    OutOfRange); all are checked before any series is built. An eta
     product (every exponent positive, their sum at most
     SPARSE_MAX_EXPONENT_SUM) takes its body from sparse theta factors, any
     other quotient from the log-derivative recurrence.
@@ -217,6 +218,7 @@ def expand(spec: EtaQuotientSpec, order: int) -> QSeries:
     shift = offset24 // 24
     if shift < 0:
         raise NegativeValuation(f"leading q-power {shift} is negative")
+    check_size("expand", order)
     if shift > order:
         return QSeries.zero(order)
     exponents = spec.exponents

@@ -1,16 +1,16 @@
 """Weight-4 level-28 form space: basis assembly, Sturm bounds, and exact
 linear decomposition against the 15-element basis.
 
-The basis is the six dilated weight-4 Eisenstein series M(q^t) for
-t in {1, 2, 4, 7, 14, 28} plus the nine cusp generators. Decomposition
-matches coefficients of q^0 .. q^n_max exactly: it solves the square system
-of the first fifteen independent rows in integers, then checks the solution
+The basis shape comes from ``eta``: M(q^t) for each divisor t of
+``CUSP_LEVEL``, plus the nine ``CUSP_GENERATORS``. Decomposition matches
+coefficients of q^0 .. q^n_max exactly: it solves the square system of the
+first fifteen independent rows in integers, then checks the solution
 against every row, so a wrong target or a transcription slip surfaces as a
 hard error, never as a least-squares fudge.
 
-The basis (``Basis28``) and a solution (``CoeffVector``, built by ``make``,
-which checks its shape and normalises each coordinate) are NamedTuples,
-read by field name and compared by value.
+The basis (``Basis28``) and a solution (``CoeffVector``) are NamedTuples,
+read by field name and compared by value. A vector checks its shape and
+normalises each coordinate whenever one is built, ``_replace`` included.
 """
 
 from __future__ import annotations
@@ -21,20 +21,21 @@ from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .arith import check_int, exact_fraction, normalize, over_common_denominator, prime_factors
+from .arith import (
+    check_int,
+    divisors,
+    exact_fraction,
+    normalize,
+    over_common_denominator,
+    prime_factors,
+)
 from .errors import InconsistentSystem, UnderdeterminedSystem
 from .eisenstein import m_series
-from .eta import c_series
+from .eta import CUSP_GENERATORS, CUSP_LEVEL, c_series
 from .qseries import QSeries
 
-DILATIONS = (1, 2, 4, 7, 14, 28)
-
-# asserted dimensions of the weight-4 Eisenstein and cusp subspaces at
-# level 28; validated by the rank checks in the test suite, not computed
-EISENSTEIN_DIMENSION = 6
-CUSP_DIMENSION = 9
-
-MIN_DECOMPOSE_ORDER = 16
+# M(q^t), t | N, spans the Eisenstein space when N has as many divisors as cusps, as 28 does
+DILATIONS = tuple(divisors(CUSP_LEVEL))
 
 
 def sturm_bound(level: int) -> int:
@@ -44,6 +45,9 @@ def sturm_bound(level: int) -> int:
     for p in prime_factors(level):
         bound *= 1 + Fraction(1, p)
     return -(-bound.numerator // bound.denominator)
+
+
+MIN_DECOMPOSE_ORDER = sturm_bound(CUSP_LEVEL)
 
 
 class Basis28(NamedTuple):
@@ -58,48 +62,44 @@ class Basis28(NamedTuple):
         check_int("Basis28.at_order", "order", order, MIN_DECOMPOSE_ORDER)
         m = m_series(order)
         eis = tuple(m.substitute_power(t) for t in DILATIONS)
-        cusp = tuple(c_series(j, order) for j in range(1, 10))
+        cusp = tuple(c_series(j, order) for j in CUSP_GENERATORS)
         return cls(eis, cusp, order)
 
     def columns(self) -> tuple[QSeries, ...]:
         return self.eisenstein_parts + self.cusp_parts
 
 
-def _check_shape(x: Mapping[int, object], y: Sequence[object]) -> None:
-    """ValueError unless x is keyed by DILATIONS and y has CUSP_DIMENSION entries."""
-    if tuple(x) != DILATIONS:
-        raise ValueError(f"x must be keyed by {DILATIONS}, got {tuple(x)}")
-    if len(y) != CUSP_DIMENSION:
-        raise ValueError(f"y must have {CUSP_DIMENSION} entries, got {len(y)}")
+class CoeffVector(
+    NamedTuple("CoeffVector", [("x", Mapping[int, int | Fraction]),
+                               ("y", tuple[int | Fraction, ...])])
+):
+    """Solved coordinates: x keyed by DILATIONS, y indexed by generator, each
+    an int, a Fraction or a literal such as "-13452/25"; a float raises
+    TypeError, and a wrong shape ValueError."""
 
+    __slots__ = ()
 
-class CoeffVector(NamedTuple):
-    """Solved coordinates: x keyed by dilation t, y indexed by generator."""
-
-    x: Mapping[int, int | Fraction]
-    y: tuple[int | Fraction, ...]
-
-    @classmethod
-    def make(
+    def __new__(
         cls,
         x: Mapping[int, int | Fraction | str],
         y: Sequence[int | Fraction | str],
     ) -> "CoeffVector":
-        """The checked vector: six x keyed by DILATIONS, nine y, each an
-        int, a Fraction or a literal such as "-13452/25"; a float raises
-        TypeError."""
-        _check_shape(x, y)
-        return cls(
+        if tuple(x) != DILATIONS:
+            raise ValueError(f"x must be keyed by {DILATIONS}, got {tuple(x)}")
+        if len(y) != len(CUSP_GENERATORS):
+            raise ValueError(f"y must have {len(CUSP_GENERATORS)} entries, got {len(y)}")
+        return super().__new__(
+            cls,
             MappingProxyType({t: normalize(exact_fraction(v)) for t, v in x.items()}),
             tuple(normalize(exact_fraction(v)) for v in y),
         )
 
+    # _replace builds its copy through _make: check it like a new vector
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def entries(self) -> tuple[int | Fraction, ...]:
-        """The fifteen coordinates in basis column order. The shape is
-        checked again here: the plain constructor and ``_replace`` skip
-        ``make``."""
-        _check_shape(self.x, self.y)
-        return tuple(self.x.values()) + tuple(self.y)
+        """The fifteen coordinates in basis column order."""
+        return tuple(self.x.values()) + self.y
 
 
 def _pivot_rows(
@@ -180,10 +180,8 @@ def decompose(target: QSeries, basis: Basis28, n_max: int) -> CoeffVector:
             raise InconsistentSystem(
                 "nonzero residual: target is not in the spanned space"
             )
-    return CoeffVector.make(
-        dict(zip(DILATIONS, solution[:EISENSTEIN_DIMENSION])),
-        solution[EISENSTEIN_DIMENSION:],
-    )
+    eis = len(DILATIONS)
+    return CoeffVector(dict(zip(DILATIONS, solution[:eis])), solution[eis:])
 
 
 def reconstruct(vec: CoeffVector, basis: Basis28) -> QSeries:
@@ -205,7 +203,7 @@ def verify_identity(lhs: QSeries, rhs: QSeries, level: int) -> bool:
 
 
 def _cv(x: Sequence[str], y: Sequence[str]) -> CoeffVector:
-    return CoeffVector.make(dict(zip(DILATIONS, x)), y)
+    return CoeffVector(dict(zip(DILATIONS, x)), y)
 
 
 # Published decompositions of (a L(q^a) - b L(q^b))^2 in the 15-element

@@ -33,6 +33,7 @@ from .convolution import (
     sigma1_terms,
     sigma3_terms,
 )
+from .deltaforms import delta_series
 from .eta import c_series
 from .modforms import sturm_bound
 from .qseries import QSeries, _kronecker_product
@@ -149,7 +150,7 @@ def r7_closed_raw(n: int) -> int:
     return evaluate(R7_CLOSED_RAW, n, "R7_raw")
 
 
-# C_1(q^4) + 4 C_2(q^4) re-expressed in the undilated generators
+# Δ_{4,7}(q^4) = C_1(q^4) + 4 C_2(q^4) re-expressed in the undilated generators
 SHIFT_IDENTITY_COEFFS: dict[int, Fraction] = {
     1: Fraction(-1, 56), 2: Fraction(-1, 8), 3: Fraction(-1, 8),
     4: Fraction(1, 56), 5: Fraction(2), 7: Fraction(-1),
@@ -160,12 +161,12 @@ SHIFT_IDENTITY_LEVEL = 56  # the dilated forms live at level 56
 
 
 def verify_cusp_shift_identity(order: int) -> bool:
-    """Check C_1(q^4) + 4 C_2(q^4) against its nine-generator expression
-    at the given order, which must reach the level-56 Sturm bound. Both
-    sides are compared times the coefficients' denominator, so a slip that
-    leaves the expression non-integral reads as False, not as an error."""
+    """Check Δ_{4,7}(q^4), DELTA_FORMS["4,7"] at q^4, against its
+    nine-generator expression at the given order, which must reach the
+    level-56 Sturm bound. Both sides are compared times the coefficients'
+    denominator, so a non-integral slip reads as False, not as an error."""
     check_int("verify_cusp_shift_identity", "order", order, sturm_bound(SHIFT_IDENTITY_LEVEL))
-    lhs = c_series(1, order).substitute_power(4) + 4 * c_series(2, order).substitute_power(4)
+    lhs = delta_series("4,7", order).substitute_power(4)
     nums, den = over_common_denominator(SHIFT_IDENTITY_COEFFS.values())
     rhs = QSeries.linear_combination(
         ((c_series(j, order), k) for j, k in zip(SHIFT_IDENTITY_COEFFS, nums)), order

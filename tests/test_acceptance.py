@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from sigma_convolve.arith import sigma
 from sigma_convolve.convolution import (
-    CLOSED_FORM_PAIRS,
+    FORMULAS,
     w_brute,
     w_formula,
 )
@@ -52,7 +52,7 @@ def _report(num: int, desc: str, ok: bool) -> None:
 def test_criterion_01_formula_matches_brute_force():
     ok = all(
         w_formula(pair, n) == w_brute(pair[0], pair[1], n)
-        for pair in CLOSED_FORM_PAIRS
+        for pair in FORMULAS
         for n in range(1, 1001)
     )
     _report(

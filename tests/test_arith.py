@@ -139,6 +139,9 @@ def test_oversize_reads_change_no_table():
     # the cusp store grows by the same rule
     with pytest.raises(OutOfRange):
         eta.c_series(1, MAX_ORDER + 1)
+    # and expand itself, called directly, raises before it builds a series
+    with pytest.raises(OutOfRange, match=rf"^expand needs an order <= {MAX_ORDER}"):
+        eta.expand(eta.cusp_spec(1), MAX_ORDER + 1)
     assert arith._sigma_tables.keys() == tables.keys()
     assert all(arith._sigma_tables[k] is t for k, t in tables.items())
     assert eta._cusp_cache == store and eta._cusp_view is view

@@ -217,7 +217,7 @@ def test_verify_checks_each_identity_at_order_raised_to_its_bound(name, bound, o
 
 def test_verify_reports_broken_identity(capsys, monkeypatch):
     real = KNOWN_DECOMPOSITIONS[(1, 28)]
-    fake = CoeffVector.make(dict(real.x), (real.y[0] + 1,) + real.y[1:])
+    fake = CoeffVector(dict(real.x), (real.y[0] + 1,) + real.y[1:])
     monkeypatch.setitem(modforms.KNOWN_DECOMPOSITIONS, (1, 28), fake)
     code, out, err = run_cli(capsys, "verify", "--order", "16")
     assert code == EXIT_IDENTITY

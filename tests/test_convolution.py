@@ -10,7 +10,6 @@ import sigma_convolve.convolution as convolution
 import sigma_convolve.eta as eta
 from sigma_convolve.arith import MAX_ORDER, grown_size, sigma, sigma_scaled, sigma_table
 from sigma_convolve.convolution import (
-    CLOSED_FORM_PAIRS,
     FORMULAS,
     Term,
     TermTable,
@@ -80,7 +79,7 @@ def test_w_brute_matches_per_m_reference():
 
 
 def test_w_brute_symmetric():
-    for a, b in CLOSED_FORM_PAIRS:
+    for a, b in FORMULAS:
         for n in (10, 29, 56, 100):
             assert w_brute(a, b, n) == w_brute(b, a, n)
 
@@ -135,7 +134,7 @@ def test_w_formula_examples():
 
 
 def test_w_formula_matches_brute_to_300():
-    for pair in CLOSED_FORM_PAIRS:
+    for pair in FORMULAS:
         a, b = pair
         for n in range(1, 301):
             assert w_formula(pair, n) == w_brute(a, b, n), (pair, n)
@@ -324,7 +323,7 @@ def test_evaluate_matches_fraction_reference_in_every_store_state(
 
 def test_w_reduce_matches_brute_on_scaled_pairs():
     # g > 1 takes the gcd path: the closed form of the reduced pair at n / g
-    for a, b in CLOSED_FORM_PAIRS:
+    for a, b in FORMULAS:
         for g in (1, 2, 3):
             for n in range(600, 0, -1):
                 want = w_brute(g * a, g * b, n)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from sigma_convolve.eisenstein import l_combination, m_series
 from sigma_convolve.errors import InconsistentSystem, NonIntegralResult, UnderdeterminedSystem
 from sigma_convolve.modforms import (
-    CUSP_DIMENSION,
     DILATIONS,
-    EISENSTEIN_DIMENSION,
     KNOWN_DECOMPOSITIONS,
+    MIN_DECOMPOSE_ORDER,
     Basis28,
     CoeffVector,
     decompose,
@@ -29,7 +28,7 @@ def integral_vector(x, y):
     """The coordinates x, y times the lcm of their denominators, so that
     the vector's series is integral, as every basis series is."""
     den = lcm(*(Fraction(v).denominator for v in (*x, *y)))
-    return CoeffVector.make(dict(zip(DILATIONS, (v * den for v in x))), [v * den for v in y])
+    return CoeffVector(dict(zip(DILATIONS, (v * den for v in x))), [v * den for v in y])
 
 
 coeff_vectors = st.builds(
@@ -50,9 +49,12 @@ def test_sturm_bound_values():
 
 
 def test_basis_construction():
+    # the shape derived from the level: its divisors and its Sturm bound
+    assert DILATIONS == (1, 2, 4, 7, 14, 28)
+    assert MIN_DECOMPOSE_ORDER == 16
     basis = Basis28.at_order(16)
-    assert len(basis.eisenstein_parts) == EISENSTEIN_DIMENSION
-    assert len(basis.cusp_parts) == CUSP_DIMENSION
+    assert len(basis.eisenstein_parts) == 6
+    assert len(basis.cusp_parts) == 9
     assert all(s.order == 16 for s in basis.columns())
     with pytest.raises(ValueError):
         Basis28.at_order(15)
@@ -157,7 +159,7 @@ def test_reconstruct_matches_fraction_sum(basis300, vec):
 
 def test_reconstruct_rejects_a_series_that_is_not_integral(basis300):
     # C_1 starts q + ..., so C_1 / 2 is not integral
-    half_c1 = CoeffVector.make(dict.fromkeys(DILATIONS, 0), [Fraction(1, 2)] + [0] * 8)
+    half_c1 = CoeffVector(dict.fromkeys(DILATIONS, 0), [Fraction(1, 2)] + [0] * 8)
     with pytest.raises(NonIntegralResult):
         reconstruct(half_c1, basis300)
 
@@ -186,9 +188,9 @@ def test_decompose_underdetermined(basis300):
 
 def test_coeff_vector_validation():
     with pytest.raises(ValueError):
-        CoeffVector.make({1: 1}, [0] * 9)
+        CoeffVector({1: 1}, [0] * 9)
     with pytest.raises(ValueError):
-        CoeffVector.make(dict.fromkeys(DILATIONS, 0), [0] * 8)
+        CoeffVector(dict.fromkeys(DILATIONS, 0), [0] * 8)
 
 
 @pytest.mark.parametrize("x, y", [
@@ -198,27 +200,31 @@ def test_coeff_vector_validation():
 def test_coeff_vector_rejects_floats(x, y):
     # Fraction(0.1) would keep the float's binary expansion as a coordinate
     with pytest.raises(TypeError, match="got float"):
-        CoeffVector.make(x, y)
+        CoeffVector(x, y)
 
 
 def test_coeff_vector_takes_exact_coordinates():
-    vec = CoeffVector.make(dict.fromkeys(DILATIONS, Fraction(4, 2)), ["1/3", 2] + [0] * 7)
+    vec = CoeffVector(dict.fromkeys(DILATIONS, Fraction(4, 2)), ["1/3", 2] + [0] * 7)
     assert vec.x[1] == 2 and type(vec.x[1]) is int
     assert vec.y[:2] == (Fraction(1, 3), 2)
 
 
-def test_reconstruct_rejects_a_vector_built_past_make():
-    # zip would stop at the short side and read seven coordinates
+def test_coeff_vector_checks_every_copy():
+    # _replace goes through the constructor, so no malformed vector is
+    # built and reconstruct never zips a short side
     v = KNOWN_DECOMPOSITIONS[(1, 7)]
-    basis = Basis28.at_order(40)
-    for bad in (v._replace(y=v.y[:1]), v._replace(y=v.y + (0,)),
-                v._replace(x={t: v.x[t] for t in DILATIONS[:-1]}),
-                CoeffVector(dict(reversed(v.x.items())), v.y)):
-        with pytest.raises(ValueError):
-            bad.entries()
-        with pytest.raises(ValueError):
-            reconstruct(bad, basis)
-    assert reconstruct(v._replace(y=list(v.y)), basis) == reconstruct(v, basis)
+    with pytest.raises(ValueError):
+        v._replace(y=v.y[:1])
+    with pytest.raises(ValueError):
+        v._replace(y=v.y + (0,))
+    with pytest.raises(ValueError):
+        v._replace(x={t: v.x[t] for t in DILATIONS[:-1]})
+    with pytest.raises(ValueError):
+        CoeffVector(dict(reversed(v.x.items())), v.y)
+    with pytest.raises(TypeError, match="got float"):
+        v._replace(y=(0.5,) + v.y[1:])
+    copy = v._replace(y=list(v.y))
+    assert copy == v and type(copy.y) is tuple
 
 
 def test_verify_identity():
@@ -278,10 +284,8 @@ def full_row_decompose(target, basis, n_max):
     if any(row[ncols] for row in rows[rank:]):
         raise InconsistentSystem("nonzero residual")
     solution = [rows[i][ncols] for i in range(ncols)]
-    return CoeffVector.make(
-        dict(zip(DILATIONS, solution[:EISENSTEIN_DIMENSION])),
-        solution[EISENSTEIN_DIMENSION:],
-    )
+    eis = len(DILATIONS)
+    return CoeffVector(dict(zip(DILATIONS, solution[:eis])), solution[eis:])
 
 
 def outcome(solve, *args):

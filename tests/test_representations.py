@@ -165,6 +165,13 @@ def test_cusp_shift_identity_fails_on_a_wrong_coefficient(monkeypatch):
     assert not verify_cusp_shift_identity(32)
 
 
+def test_cusp_shift_identity_reads_the_delta_4_7_form(monkeypatch):
+    # the left side is DELTA_FORMS["4,7"] dilated by 4, not a second copy of
+    # C_1 + 4 C_2, so a slip in that table fails the identity
+    monkeypatch.setitem(convolution.DELTA_FORMS, "4,7", {1: 1, 2: 5})
+    assert not verify_cusp_shift_identity(32)
+
+
 def test_r7_closed_raw_rejects_corrupt_table(monkeypatch):
     import sigma_convolve.representations as reps
     from fractions import Fraction
