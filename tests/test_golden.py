@@ -75,6 +75,20 @@ GOLDEN: list[tuple[tuple[str, ...], str]] = [
      "94fe3b03822fba7ca3d74a559bf72454b45440236ee2a5b714374b201a7c73b5"),
     (("r7", "--n-max", "1500", "--mode", "closed"),
      "29dd615e2788b44ca4b21f9a19164fd1d436e579414a132fbc7548221cfdb09e"),
+    # the table oracles past the sizes above, the gcd path among them, an
+    # eta product of the benchmark's verify workload, and a both-mode table
+    # with a, b > 1; pinned before the table oracles and the eta products
+    # shared one product engine and tables were printed by column
+    (("wab", "--a", "1", "--b", "28", "--n-max", "20000", "--mode", "brute"),
+     "399658772ebcfdff6be649bc05262b03deed534d280dbadf21e277ba999a7f45"),
+    (("wab", "--a", "6", "--b", "9", "--n-max", "8000", "--mode", "brute"),
+     "43b1b51e539fe25ec54139ca32073ef7e6ae547ad43e58d17b0a0e4c53ad689f"),
+    (("r7", "--n-max", "8000", "--mode", "enumerate"),
+     "1dfb4e8d4dd4621d31781aa6eadbe39e23f73ac71e0301202e85b2088dfca033"),
+    (("eta", "--level", "7", "--spec", "1:16,7:8", "--terms", "1000"),
+     "de2f437109ef7d1872280749fd04f4b3cb9ab55c715b71deeb9d5d3eefd94b2c"),
+    (("wab", "--a", "4", "--b", "7", "--n-max", "600", "--mode", "both", "--format", "json"),
+     "1f540da89191c84001b7a2ca0cd85a8d6ce45376d5be197f24d17c2d0ce0a7bc"),
 ]
 
 
