@@ -5,18 +5,19 @@ Subcommands: wab (convolution tables), verify (identity suite), eta
 form coefficients), decompose (basis coordinates as JSON).
 
 wab, r7 and delta print through one tabulator, which takes an ordered map
-from column header to a function of n. Two or more columns evaluate one
-quantity different ways: the table then gains a match column, and any
-disagreement exits 2. Rows are evaluated from the largest n down and
-printed in ascending order, so the first row builds each doubling library
-table (the cusp store, the sigma sieves) once, at the size it needs. The
-oracle columns (``wab`` brute, ``r7`` enumerate) instead read whole
-tables, built by series products before the first row; in ``wab --mode
-both`` with a, b > 1 the formula's first row then regrows the sigma sieve
-that table read, once. Each
-verify identity is a check at a given order; the suite runs it at the
-requested order raised to the identity's Sturm bound, or to 3 for the
-cube-root consistency check, which has none.
+from column header to a column: a table indexed by n, or a function of n.
+Each column is built as a list first and all rows are then formatted in
+one pass. A table column (the oracle tables of ``wab`` brute and ``r7``
+enumerate, a series' coefficients) is one slice. A function column is
+evaluated from the largest n down, so its first call builds each doubling
+library table (the cusp store, the sigma sieves) once, at the size it
+needs; ``wab --mode both`` does so before the brute table is built, so
+that table finds the sigma sieve already large enough. Two or more columns
+evaluate one quantity different ways: the table then gains a match
+column, and any disagreement exits 2. Each verify identity is a check at
+a given order; the suite runs it at the requested order raised to the
+identity's Sturm bound, or to 3 for the cube-root consistency check, which
+has none.
 
 Exit codes: 0 success, 1 usage error, 2 table mismatch, 3 identity
 failure, 4 domain error (for example a fractional q-power, or an --n-max,
@@ -31,7 +32,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 from . import convolution, deltaforms, representations
 from .arith import MAX_ORDER
@@ -73,32 +74,44 @@ def _json_scalar(v: object) -> object:
     return v
 
 
-def _emit(fmt: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def _emit(fmt: str, header: Sequence[str], rows: Sequence[tuple[object, ...]]) -> None:
     if fmt == "csv":
-        lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
-        sys.stdout.write("\n".join(lines) + "\n")
+        # "%s" is str() of each value, and the % loop runs in C
+        line = ",".join(["%s"] * len(header))
+        sys.stdout.write("\n".join([",".join(header), *map(line.__mod__, rows)]) + "\n")
     else:
         payload = [{k: _json_scalar(v) for k, v in zip(header, row)} for row in rows]
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _tabulate(fmt: str, n_max: int, columns: dict[str, Callable[[int], object]]) -> int:
-    """Print one row per n = 1..n_max with a value per column, evaluated
-    from n_max down so each doubling table is built once. Two or more
-    columns are evaluations of one quantity: a match column is appended and
-    any disagreement exits EXIT_MISMATCH."""
-    compare = len(columns) > 1
-    rows: list[list[object]] = []
-    mismatch = False
+# a table indexed by n (index 0 unread), or a function of n
+Column = Union[Sequence[object], Callable[[int], object]]
+
+
+def _table(fn: Callable[[int], object], n_max: int) -> list[object]:
+    """fn(1..n_max) as a table indexed by n, evaluated from n_max down so
+    each doubling library table is built once, at the size it needs."""
+    table: list[object] = [None] * (n_max + 1)
     for n in range(n_max, 0, -1):
-        values = [fn(n) for fn in columns.values()]
-        rows.append([n, *values])
-        if compare:
-            ok = all(v == values[0] for v in values)
-            mismatch = mismatch or not ok
-            rows[-1].append(int(ok))
-    rows.reverse()
-    _emit(fmt, ["n", *columns, *(["match"] if compare else [])], rows)
+        table[n] = fn(n)
+    return table
+
+
+def _tabulate(fmt: str, n_max: int, columns: dict[str, Column]) -> int:
+    """Print one row per n = 1..n_max with a value per column. A table
+    column is read as one slice; a function column is first made a table
+    by ``_table``. Two or more columns are evaluations of one quantity: a
+    match column is appended and any disagreement exits EXIT_MISMATCH."""
+    values = [(_table(c, n_max) if callable(c) else c)[1 : n_max + 1]
+              for c in columns.values()]
+    header = ["n", *columns]
+    mismatch = False
+    if len(values) > 1:
+        match = [int(all(v == row[0] for v in row)) for row in zip(*values)]
+        mismatch = not all(match)
+        header.append("match")
+        values.append(match)
+    _emit(fmt, header, list(zip(range(1, n_max + 1), *values)))
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
@@ -124,7 +137,7 @@ def cmd_wab(args: argparse.Namespace) -> int:
     b = _require_at_least(args.b, "--b", 1)
     n_max = _require_size(args.n_max, "--n-max", 1)
 
-    columns: dict[str, Callable[[int], object]] = {}
+    columns: dict[str, Column] = {}
     if args.mode in ("formula", "both"):
         _, reduced = convolution.reduced_pair(a, b)
         if reduced not in convolution.FORMULAS:
@@ -132,9 +145,11 @@ def cmd_wab(args: argparse.Namespace) -> int:
                 f"no closed form for pair ({a},{b}) (reduces to {reduced})\n"
             )
             return EXIT_DOMAIN
-        columns["w_formula"] = lambda n: convolution.w_reduce(a, b, n)
+        # tabulated before the brute table is built: its sigma sieve, to
+        # n_max // gcd(a, b), then covers the table's, to n_max // min(a, b)
+        columns["w_formula"] = _table(lambda n: convolution.w_reduce(a, b, n), n_max)
     if args.mode in ("brute", "both"):
-        columns["w_brute"] = convolution.w_table(a, b, n_max).__getitem__
+        columns["w_brute"] = convolution.w_table(a, b, n_max)
     return _tabulate(args.format, n_max, columns)
 
 
@@ -267,9 +282,10 @@ def cmd_eta(args: argparse.Namespace) -> int:
 def cmd_r7(args: argparse.Namespace) -> int:
     n_max = _require_size(args.n_max, "--n-max", 1)
     modes = ("closed", "via-w", "enumerate") if args.mode == "all" else (args.mode,)
-    evaluators = {"closed": representations.r7_closed, "via-w": representations.r7_via_w}
+    evaluators: dict[str, Column] = {
+        "closed": representations.r7_closed, "via-w": representations.r7_via_w}
     if "enumerate" in modes:
-        evaluators["enumerate"] = representations.r7_table(n_max).__getitem__
+        evaluators["enumerate"] = representations.r7_table(n_max)
     return _tabulate(args.format, n_max, {m.replace("-", "_"): evaluators[m] for m in modes})
 
 
@@ -278,7 +294,7 @@ def cmd_r7(args: argparse.Namespace) -> int:
 def cmd_delta(args: argparse.Namespace) -> int:
     terms = _require_size(args.terms, "--terms", 1)
     series = deltaforms.delta_series(args.form, terms)
-    return _tabulate(args.format, terms, {"coefficient": series.coefficient})
+    return _tabulate(args.format, terms, {"coefficient": series.coeffs})
 
 
 # -- decompose ------------------------------------------------------------

@@ -6,11 +6,12 @@ Two oracles compute W from its definition. ``w_brute`` is the point
 oracle: the defining sum at one n, taken term by term over the shared
 sigma table of ``arith``. ``w_table`` is the whole-table oracle: W(0..N)
 is the coefficient list of (sum sigma(l) q^(al)) (sum sigma(m) q^(bm)),
-one series product by the Kronecker kernel of ``qseries``. The per-row
-oracle shares no code with the closed forms beyond the sigma table, which
-the tests check against trial division; the table oracle also shares the
-Kronecker kernel with the sparse eta products, and the tests check that
-kernel against a schoolbook product and ``w_table`` against ``w_brute``.
+one call of the product engine of ``qseries``, which splits the join of
+the two dilated sigma lists into short joins. The per-row oracle shares no
+code with the closed forms beyond the sigma table, which the tests check
+against trial division; the table oracle also shares the product engine
+with the sparse eta products, and the tests check that engine against a
+schoolbook product and ``w_table`` against ``w_brute``.
 
 Each closed form (the five W_{a,b} formulas here, the level-7 and level-14
 formulas in ``deltaforms``, and the three R_7 tables in ``representations``)
@@ -49,7 +50,7 @@ from . import arith, eta
 from .arith import check_int, check_size, exact_fraction, over_common_denominator, sigma_table
 from .errors import NonIntegralResult
 from .eta import _cusp_series, shared_cusp_table
-from .qseries import _kronecker_product
+from .qseries import Dense, product
 
 Pair = tuple[int, int]
 
@@ -265,20 +266,17 @@ def w_table(a: int, b: int, n_max: int) -> list[int]:
     whole-table oracle.
 
     The sum over a*l + b*m = n is the q^n coefficient of
-    (sum sigma(l) q^(a*l)) (sum sigma(m) q^(b*m)), so the table is one
-    Kronecker product of the two dilated sigma lists, both read from one
-    sigma table. n_max must be at most ``arith.MAX_ORDER``.
+    (sum sigma(l) q^(a*l)) (sum sigma(m) q^(b*m)), so the table is the
+    product of two dense factors, one sigma table in q^a and in q^b. The
+    engine divides out gcd(a, b) and joins each residue class of one side
+    with one of the other: ab / gcd(a, b)^2 Kronecker products of about
+    n_max gcd(a, b) / (ab) coefficients. n_max must be at most
+    ``arith.MAX_ORDER``.
     """
     check_int("w_table", "a", a, 1, "b", b, 1, "n_max", n_max, 0)
     check_size("w_table", n_max)
     s = sigma_table(1, n_max // min(a, b))
-
-    def dilated(t: int) -> list[int]:
-        out = [0] * (n_max + 1)
-        out[::t] = s[: n_max // t + 1]
-        return out
-
-    return _kronecker_product(dilated(a), dilated(b))
+    return product(n_max, [Dense(s, a), Dense(s, b)])
 
 
 # each closed form's label, made once: "W(1, 28)" for the pair (1, 28)

@@ -16,8 +16,9 @@ SPARSE_MAX_EXPONENT_SUM, is a product of sparse theta series:
 prod J(q^delta)^(r // 3) * P(q^delta)^(r % 3), with Jacobi's
 J(q) = P(q)^3 = sum_{m>=0} (-1)^m (2m+1) q^(m(m+1)/2) and Euler's
 P(q) = sum_k (-1)^k q^(k(3k-1)/2), so each factor has O(sqrt(order/delta))
-terms. The factors are multiplied in pairs by direct loops, and the pair
-products joined by the Kronecker product of ``qseries``.
+terms. The factors go to the product engine of ``qseries``, which
+multiplies them in pairs by direct loops and joins the pair products by
+its Kronecker kernel.
 
 Any other quotient, and a product whose exponents sum past that bound,
 takes its body from its logarithmic derivative. Since
@@ -48,7 +49,7 @@ from typing import Mapping, NamedTuple
 
 from .arith import check_int, check_size, divisors, grown_size, is_int, normalize, sigma_table
 from .errors import FractionalExponent, NegativeValuation
-from .qseries import QSeries, _kronecker_product
+from .qseries import QSeries, product
 
 
 class EtaQuotientSpec(
@@ -172,33 +173,14 @@ def _euler(delta: int, order: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _sparse_product(
-    f: list[tuple[int, int]], g: list[tuple[int, int]], order: int
-) -> list[int]:
-    """Coefficients 0..order of the product of two sparse series, each a
-    list of (exponent, coefficient) in ascending exponent order."""
-    out = [0] * (order + 1)
-    for e, c in f:
-        for e2, c2 in g:
-            if e + e2 > order:
-                break
-            out[e + e2] += c * c2
-    return out
-
-
 def _product_body(exponents: Mapping[int, int], order: int) -> list[int]:
     """Coefficients f_0..f_order of prod P(q^delta)^r_delta with every
-    r_delta > 0, as prod J(q^delta)^(r // 3) * P(q^delta)^(r % 3)."""
+    r_delta > 0, as prod J(q^delta)^(r // 3) * P(q^delta)^(r % 3): sparse
+    factors for the product engine of ``qseries``."""
     factors = []
     for delta, r in exponents.items():
         factors += [_jacobi(delta, order)] * (r // 3) + [_euler(delta, order)] * (r % 3)
-    if len(factors) % 2:
-        factors.append([(0, 1)])
-    pairs = [_sparse_product(f, g, order) for f, g in zip(factors[::2], factors[1::2])]
-    body = pairs[0]
-    for pair in pairs[1:]:
-        body = _kronecker_product(body, pair)
-    return body
+    return product(order, factors)
 
 
 def expand(spec: EtaQuotientSpec, order: int) -> QSeries:

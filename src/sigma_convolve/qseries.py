@@ -11,13 +11,26 @@ multiplied once, and the product's low slots are read back as the
 coefficients. A slot holds the bound |c_k| <= min(l1(a) max|b|, l1(b)
 max|a|) on every product coefficient plus a sign bit, rounded up to whole
 bytes, so no slot can carry into the next and the result is exact.
+
+``product`` is the one engine for a product of several factors, each a
+sparse term list or a ``Dense`` coefficient list in q^t. Sparse factors
+are multiplied in pairs by direct loops; dense ones are joined left to
+right by the Kronecker kernel. A join f(q^s) g(q^t) is split: with
+d = gcd(s, t), s = d s' and t = d t', the coefficient of q^(d n) sums
+f_i g_j over s' i + t' j = n, and splitting i by its residue r mod t' and
+j by its residue u mod s' sends each pair (r, u) to its own residue class
+s' r + t' u of n mod s' t'. So the join is s' t' Kronecker products of
+length about N / (d s' t'), interleaved, each with its own slot width;
+big-int products cost more than linearly, so the short joins are cheaper
+than one join of the two dilated lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import check_int, normalize, over_common_denominator
 from .errors import BadLeadingTerm, NonIntegralResult, OutOfRange
@@ -273,3 +286,87 @@ def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     digits = memoryview(low.to_bytes(nbytes, "little"))
     return [int.from_bytes(digits[i : i + width], "little") - half
             for i in range(0, nbytes, width)]
+
+
+class Dense(NamedTuple):
+    """A dense factor of ``product``: sum coeffs[i] q^(t*i). Entries past
+    the product's order are ignored, and missing ones read as zeros."""
+
+    coeffs: Sequence[int]
+    t: int = 1
+
+
+def product(
+    order: int, factors: Iterable[Dense | Sequence[tuple[int, int]]]
+) -> list[int]:
+    """Coefficients 0..order of the product of the factors, each a
+    ``Dense`` or a sparse list of (exponent, coefficient) pairs in
+    ascending exponent order.
+
+    Sparse factors are multiplied in pairs, in the order given, an odd one
+    out on its own; each pair product is a dense factor in q. The dense
+    factors, those pair products first, are then joined left to right,
+    each join split by residue classes (see the module docstring). The
+    empty product is 1.
+    """
+    check_int("product", "order", order, 0)
+    sparse, dense = [], []
+    for f in factors:
+        if isinstance(f, Dense):
+            check_int("product", "t", f.t, 1)
+            dense.append(f)
+        else:
+            sparse.append(f)
+    if len(sparse) % 2:
+        sparse.append([(0, 1)])
+    dense[:0] = [Dense(_sparse_product(f, g, order))
+                 for f, g in zip(sparse[::2], sparse[1::2])]
+    if not dense:
+        return [1] + [0] * order
+    (cs, t), *rest = dense
+    for g, u in rest:
+        cs, t = _split_join(cs, t, g, u, order)
+    out = [0] * (order + 1)
+    out[::t] = _fit(cs[: order // t + 1], order // t + 1)
+    return out
+
+
+def _fit(cs: Sequence[int], size: int) -> list[int]:
+    """At most ``size`` leading coefficients, padded with zeros to ``size``."""
+    return [*cs, *[0] * (size - len(cs))]
+
+
+def _split_join(
+    f: Sequence[int], s: int, g: Sequence[int], t: int, order: int
+) -> tuple[list[int], int]:
+    """(h, d) with h(q^d) = f(q^s) g(q^t) up to q^order and d = gcd(s, t):
+    one Kronecker product per pair of residue classes, interleaved."""
+    d = gcd(s, t)
+    s, t, m = s // d, t // d, order // d
+    step = s * t
+    h = [0] * (m + 1)
+    for r in range(t):
+        for u in range(s):
+            e = s * r + t * u
+            if e > m:
+                continue
+            size = (m - e) // step + 1
+            a = _fit(f[r : r + size * t : t], size)
+            # one series at one dilation: the kernel squares it
+            b = a if f is g and s == t else _fit(g[u : u + size * s : s], size)
+            h[e::step] = _kronecker_product(a, b)
+    return h, d
+
+
+def _sparse_product(
+    f: Sequence[tuple[int, int]], g: Sequence[tuple[int, int]], order: int
+) -> list[int]:
+    """Coefficients 0..order of the product of two sparse series, each a
+    list of (exponent, coefficient) in ascending exponent order."""
+    out = [0] * (order + 1)
+    for e, c in f:
+        for e2, c2 in g:
+            if e + e2 > order:
+                break
+            out[e + e2] += c * c2
+    return out

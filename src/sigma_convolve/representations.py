@@ -12,9 +12,10 @@ Enumeration comes in two shapes. The point oracles ``r4_enumerate`` and
 ``r7_enumerate`` walk the disc x^2 + y^2 <= n once per call into the
 two-square counts r2(0..n) and sum dot products over them; they keep no
 cache and share no code with ``qseries``. The table oracle ``r7_table``
-walks the disc once and joins the series r4 = r2 * r2 and
-R7 = r4(q) * r4(q^7) by two Kronecker products, the kernel the sparse eta
-products use; the tests check it against ``r7_enumerate`` at every n.
+walks the disc once and forms the series r4 = r2 * r2 and
+R7 = r4(q) * r4(q^7) by two calls of the product engine of ``qseries``,
+which the sparse eta products also use; the tests check it against
+``r7_enumerate`` at every n.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .convolution import (
 from .deltaforms import delta_series
 from .eta import c_series
 from .modforms import sturm_bound
-from .qseries import QSeries, _kronecker_product
+from .qseries import Dense, QSeries, product
 
 
 def r4_jacobi(n: int) -> int:
@@ -92,15 +93,14 @@ def r7_enumerate(n: int) -> int:
 
 def r7_table(n_max: int) -> list[int]:
     """R7(0), ..., R7(n_max) as one list, with R7(0) = 1: the whole-table
-    oracle. r4 = r2 * r2 and R7 = r4(q) * r4(q^7) as series, two Kronecker
-    products over one disc walk. n_max must be at most ``arith.MAX_ORDER``."""
+    oracle. r4 = r2 * r2 and R7 = r4(q) * r4(q^7) as series over one disc
+    walk: one Kronecker square, then seven joins of one residue class of
+    r4 mod 7 with r4(q^7). n_max must be at most ``arith.MAX_ORDER``."""
     check_int("r7_table", "n_max", n_max, 0)
     check_size("r7_table", n_max)
     r2 = _r2_table(n_max)
-    r4 = _kronecker_product(r2, r2)
-    r4_q7 = [0] * (n_max + 1)
-    r4_q7[::7] = r4[: n_max // 7 + 1]
-    return _kronecker_product(r4, r4_q7)
+    r4 = product(n_max, [Dense(r2), Dense(r2)])
+    return product(n_max, [Dense(r4), Dense(r4, 7)])
 
 
 # R_7 = 8 sigma(n) - 32 sigma(n/4) + 8 sigma(n/7) - 32 sigma(n/28) + 64 W_{1,7}(n)

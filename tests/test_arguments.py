@@ -32,7 +32,7 @@ from sigma_convolve.deltaforms import (
 from sigma_convolve.eisenstein import l_combination, l_series, m_series
 from sigma_convolve.eta import CuspTable, EtaQuotientSpec, c_series, cusp_spec, expand
 from sigma_convolve.modforms import Basis28, decompose, sturm_bound, verify_identity
-from sigma_convolve.qseries import QSeries
+from sigma_convolve.qseries import Dense, QSeries, product
 from sigma_convolve.representations import (
     r4_enumerate,
     r4_jacobi,
@@ -72,6 +72,8 @@ CASES = [
     ("QSeries.equal_up_to", "bound", 0, lambda v: SERIES.equal_up_to(SERIES, v)),
     ("QSeries.__pow__", "e", 0, lambda v: SERIES ** v),
     ("QSeries.substitute_power", "t", 1, SERIES.substitute_power),
+    ("product", "order", 0, lambda v: product(v, [Dense([1, 2])])),
+    ("product", "t", 1, lambda v: product(4, [Dense([1, 2], v)])),
     ("EtaQuotientSpec", "level", 1, lambda v: EtaQuotientSpec(v, {1: 24})),
     ("EtaQuotientSpec", "level", 1, lambda v: EtaQuotientSpec.from_string(v, "1:24")),
     ("expand", "order", 0, lambda v: expand(SPEC, v)),

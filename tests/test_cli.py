@@ -393,6 +393,9 @@ def grown_sizes(monkeypatch, fresh_cusp_store) -> list:
     (("r7", "--n-max", "700", "--mode", "all"), 3),
     # the sieve's top index varies with n mod a; its bound on l does not
     (("wab", "--a", "4", "--b", "7", "--n-max", "5422", "--mode", "brute"), 1),
+    # the formula column reads the sigma sieve to 3000 before the brute
+    # table, which needs only 3000 // 4, so the sieve is built once
+    (("wab", "--a", "4", "--b", "7", "--n-max", "3000", "--mode", "both"), 3),
     # sigma_1 to order for the target, then below it for the basis
     (("verify", "--order", "600", "--report", "json"), 3),
     (("decompose", "--pair", "1,28", "--n-max", "300"), 3),

@@ -97,7 +97,9 @@ def test_w_table_matches_w_brute(a, b, n_max):
 @pytest.mark.parametrize("a, b", [
     (1, 28), (4, 7),
     (6, 4),     # gcd > 1 and a > b
+    (6, 9),     # gcd 3, split into 2 * 3 joins
     (3, 3),     # a = b
+    (5, 5),     # a = b, past the first residue class
     (2500, 1),  # a past n_max: only the l = 0 column is dilated, so all zero
 ])
 def test_w_table_matches_w_brute_to_2000(a, b):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sigma_convolve import qseries
 from sigma_convolve.arith import sigma
 from sigma_convolve.errors import BadLeadingTerm, NonIntegralResult, OutOfRange
-from sigma_convolve.qseries import QSeries
+from sigma_convolve.qseries import Dense, QSeries, product
 
 
 @st.composite
@@ -158,6 +159,84 @@ def test_mul_truncates_to_min_order():
     b = QSeries([1, 1, 1, 1, 1], 4)
     assert (a * b).order == 2
     assert (a + b).order == 2
+
+
+# -- the product engine ----------------------------------------------------
+
+
+@st.composite
+def coefficient_runs(draw) -> list[int]:
+    """Up to six runs, each up to 20 zeros or up to 10 coefficients of one
+    drawn kind, so the residue classes of a split join can differ in size."""
+    kind = draw(coefficient_kinds)
+    runs = draw(st.lists(
+        st.one_of(st.integers(1, 20).map(lambda k: [0] * k),
+                  st.lists(kind, min_size=1, max_size=10)),
+        max_size=6,
+    ))
+    return [c for run in runs for c in run]
+
+
+dense_factors = st.builds(Dense, coefficient_runs(), st.integers(1, 30))
+sparse_factors = st.dictionaries(
+    st.integers(0, 160), st.one_of(st.integers(-9, 9), big_ints), max_size=12,
+).map(lambda terms: sorted(terms.items()))
+
+
+def schoolbook_product(order: int, factors) -> QSeries:
+    """Each factor written out as a series at ``order``, multiplied by
+    ``schoolbook_mul`` from 1."""
+    result = QSeries.one(order)
+    for f in factors:
+        cs = [0] * (order + 1)
+        terms = ((f.t * i, c) for i, c in enumerate(f.coeffs)) if isinstance(f, Dense) else f
+        for e, c in terms:
+            if e <= order:
+                cs[e] += c
+        result = schoolbook_mul(result, QSeries(cs, order))
+    return result
+
+
+HUGE = -(2**200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(0, 150),
+       factors=st.lists(st.one_of(dense_factors, sparse_factors), max_size=4))
+@example(order=0, factors=[])
+@example(order=0, factors=[Dense([HUGE, 3], 5), [(0, -2), (1, 7)]])
+@example(order=60, factors=[Dense([1] * 20, 4), Dense([-1, 2] * 20, 7)])
+@example(order=90, factors=[Dense(list(range(-20, 20)), 6), Dense([HUGE] * 30, 9)])
+@example(order=90, factors=[Dense([HUGE, -1] * 10, 5)] * 2)
+@example(order=90, factors=[Dense([0] * 40, 3), Dense([1] * 90)])
+@example(order=120, factors=[Dense([HUGE if i % 7 == 0 else -1 for i in range(121)]),
+                             Dense([-3] * 20, 7)])
+@example(order=50, factors=[[(0, 1), (3, -1)], [(1, HUGE)], [(0, 2)], Dense([1, 1], 25)])
+def test_product_matches_schoolbook(order, factors):
+    assert product(order, factors) == list(schoolbook_product(order, factors).coeffs)
+
+
+def test_product_splits_a_dilated_join(monkeypatch):
+    # f(q^6) g(q^9) is h(q^3) with h = f(x^2) g(x^3): 2 * 3 joins of about
+    # 540 / (3 * 6) coefficients each; f(q) g(q^28) is 28 joins of 280 / 28
+    joins = []
+    kronecker = qseries._kronecker_product
+
+    def recording(a, b):
+        joins.append((len(a), max(map(abs, a))))
+        return kronecker(a, b)
+
+    monkeypatch.setattr(qseries, "_kronecker_product", recording)
+    f = [HUGE if i % 28 == 0 else -1 for i in range(541)]
+    assert product(540, [Dense(f, 6), Dense(f, 9)]) == list(
+        schoolbook_product(540, [Dense(f, 6), Dense(f, 9)]).coeffs)
+    assert len(joins) == 6 and max(size for size, _ in joins) == 31
+    joins.clear()
+    assert product(280, [Dense(f), Dense(f, 28)]) == list(
+        schoolbook_product(280, [Dense(f), Dense(f, 28)]).coeffs)
+    assert len(joins) == 28 and max(size for size, _ in joins) == 11
+    # only residue class 0 of the undilated side holds the 2^200 entries
+    assert sorted({top for _, top in joins}) == [1, 2**200]
 
 
 def test_scalar_ops():
