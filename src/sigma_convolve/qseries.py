@@ -340,16 +340,18 @@ def _split_join(
     f: Sequence[int], s: int, g: Sequence[int], t: int, order: int
 ) -> tuple[list[int], int]:
     """(h, d) with h(q^d) = f(q^s) g(q^t) up to q^order and d = gcd(s, t):
-    one Kronecker product per pair of residue classes, interleaved."""
+    one Kronecker product per pair of residue classes, interleaved.
+
+    Only the pairs whose class s r + t u is at most order / d are visited;
+    the classes are distinct mod s t, so there are at most order / d + 1
+    of them, however large s and t are."""
     d = gcd(s, t)
     s, t, m = s // d, t // d, order // d
     step = s * t
     h = [0] * (m + 1)
-    for r in range(t):
-        for u in range(s):
+    for r in range(min(t, m // s + 1)):
+        for u in range(min(s, (m - s * r) // t + 1)):
             e = s * r + t * u
-            if e > m:
-                continue
             size = (m - e) // step + 1
             a = _fit(f[r : r + size * t : t], size)
             # one series at one dilation: the kernel squares it

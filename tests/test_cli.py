@@ -116,6 +116,14 @@ def test_wab_brute_mode_accepts_any_pair(capsys):
     assert out.splitlines()[8] == "8,1"  # 3*1+5*1
 
 
+@pytest.mark.parametrize("a, b", [("99991", "99989"), ("1", "1000000000000")])
+def test_wab_brute_with_dilations_past_n_max_is_all_zero(capsys, a, b):
+    # one join per residue class at or below n_max, not a * b of them
+    code, out, _ = run_cli(capsys, "wab", "--a", a, "--b", b, "--n-max", "10", "--mode", "brute")
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == [f"{n},0" for n in range(1, 11)]
+
+
 def test_wab_scaled_pair_uses_reduction(capsys):
     # (2,56) reduces to (1,28); W_{2,56}(58) = W_{1,28}(29) = 1
     code, out, _ = run_cli(

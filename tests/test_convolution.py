@@ -112,6 +112,10 @@ def test_w_table_edges():
     assert w_table(1, 1, 3) == [0, 0, 1, 6]
     assert w_table(5, 7, 11) == [0] * 12
     assert w_table(5, 7, 12) == [0] * 12 + [1]
+    # dilations far past n_max: the join visits only the classes <= n_max
+    assert w_table(10**6 + 3, 10**6, 10) == [0] * 11
+    assert w_table(1, 10**12, 10) == [0] * 11
+    assert w_table(99991, 99989, 199980)[-2:] == [0, 1]
     with pytest.raises(OutOfRange, match=r"^w_table needs an order <= 1000000, got 1000001$"):
         w_table(1, 28, MAX_ORDER + 1)
 

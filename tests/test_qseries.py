@@ -239,6 +239,25 @@ def test_product_splits_a_dilated_join(monkeypatch):
     assert sorted({top for _, top in joins}) == [1, 2**200]
 
 
+def test_product_visits_only_the_classes_below_the_order(monkeypatch):
+    # s' t' residue pairs, but only those with s' r + t' u <= order are
+    # joined: at most order + 1 of them, however large the dilations
+    joins = []
+    kronecker = qseries._kronecker_product
+
+    def recording(a, b):
+        joins.append(len(a))
+        return kronecker(a, b)
+
+    monkeypatch.setattr(qseries, "_kronecker_product", recording)
+    f = [3, -1, 4, 1, -5]
+    for s, t in ((10**6 + 3, 10**6), (1, 10**12), (99991, 99989), (7, 10**9)):
+        assert product(10, [Dense(f, s), Dense(f, t)]) == list(
+            schoolbook_product(10, [Dense(f, s), Dense(f, t)]).coeffs)
+        assert 1 <= len(joins) <= 11
+        joins.clear()
+
+
 def test_scalar_ops():
     s = QSeries([1, 2, 3], 2)
     assert (3 * s).coeffs == (3, 6, 9)
