@@ -270,8 +270,9 @@ def w_table(a: int, b: int, n_max: int) -> list[int]:
     product of two dense factors, one sigma table in q^a and in q^b. The
     engine divides out gcd(a, b) and joins each residue class of one side
     with one of the other: ab / gcd(a, b)^2 Kronecker products of about
-    n_max gcd(a, b) / (ab) coefficients. n_max must be at most
-    ``arith.MAX_ORDER``.
+    n_max gcd(a, b) / (ab) coefficients, or only the n_max / gcd(a, b) + 1
+    classes that start at or below n_max when that is fewer. n_max must be
+    at most ``arith.MAX_ORDER``.
     """
     check_int("w_table", "a", a, 1, "b", b, 1, "n_max", n_max, 0)
     check_size("w_table", n_max)

@@ -20,13 +20,16 @@ d = gcd(s, t), s = d s' and t = d t', the coefficient of q^(d n) sums
 f_i g_j over s' i + t' j = n, and splitting i by its residue r mod t' and
 j by its residue u mod s' sends each pair (r, u) to its own residue class
 s' r + t' u of n mod s' t'. So the join is s' t' Kronecker products of
-length about N / (d s' t'), interleaved, each with its own slot width;
+length about N / (d s' t'), interleaved, each with its own slot width
+(only the classes at most N / d are joined, so never more than N / d + 1);
 big-int products cost more than linearly, so the short joins are cheaper
 than one join of the two dilated lists.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -265,6 +268,12 @@ def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     one int. The product is cut to len(a) slots in two's complement, the
     half is added back to every slot, and each slot is read as unsigned
     less the half.
+
+    Slots of at most 8 bytes hold every coefficient as an int64, so on a
+    little-endian host they are packed and read through ``array("q")``
+    with one byte-slice copy per byte of the slot, not one call per
+    coefficient: c + half is c's low w two's-complement bytes with the top
+    bit flipped, and a read slot flipped back and sign-extended is c.
     """
     size = len(a)
     l1_a, l1_b = sum(map(abs, a)), sum(map(abs, b))
@@ -274,18 +283,45 @@ def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     offsets = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    words = width <= 8 and _LITTLE_ENDIAN
+    top = width - 1
 
-    def pack(cs: list[int]) -> int:
-        slots = b"".join([(c + half).to_bytes(width, "little") for c in cs])
+    def pack(cs: Sequence[int]) -> int:
+        if words:
+            raw = array("q", cs).tobytes()
+            slots = bytearray(width * size)
+            for j in range(top):
+                slots[j::width] = raw[j::8]
+            slots[top::width] = raw[top::8].translate(_FLIP_TOP_BIT)
+        else:
+            slots = b"".join([(c + half).to_bytes(width, "little") for c in cs])
         return int.from_bytes(slots, "little") - offsets
 
     packed_a = pack(a)
     packed_b = packed_a if b is a else pack(b)
     nbytes = width * size
     low = (packed_a * packed_b + offsets) & ((1 << 8 * nbytes) - 1)
-    digits = memoryview(low.to_bytes(nbytes, "little"))
-    return [int.from_bytes(digits[i : i + width], "little") - half
-            for i in range(0, nbytes, width)]
+    digits = low.to_bytes(nbytes, "little")
+    if not words:
+        digits = memoryview(digits)
+        return [int.from_bytes(digits[i : i + width], "little") - half
+                for i in range(0, nbytes, width)]
+    raw = bytearray(8 * size)
+    for j in range(top):
+        raw[j::8] = digits[j::width]
+    high = digits[top::width].translate(_FLIP_TOP_BIT)
+    raw[top::8] = high
+    sign = high.translate(_SIGN_BYTE)
+    for j in range(width, 8):
+        raw[j::8] = sign
+    return array("q", raw).tolist()
+
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
+# byte maps for the int64 slots: the top bit flipped, and the byte that
+# sign-extends a two's-complement top byte
+_FLIP_TOP_BIT = bytes(i ^ 0x80 for i in range(256))
+_SIGN_BYTE = bytes(0xFF if i & 0x80 else 0 for i in range(256))
 
 
 class Dense(NamedTuple):

@@ -107,6 +107,7 @@ def schoolbook_pow(s: QSeries, e: int) -> QSeries:
 big_ints = st.integers(-2**200, 2**200)
 coefficient_kinds = st.sampled_from([
     st.integers(-9, 9),
+    st.integers(-2**28, 2**28),  # slots of 1 to 8 bytes, read as int64
     big_ints,
     st.one_of(st.integers(-9, 9), big_ints),
 ])
@@ -142,7 +143,10 @@ def test_pow_matches_repeated_schoolbook(s, e):
     assert s ** e == schoolbook_pow(s, e)
 
 
-@pytest.mark.parametrize("m", [1, 127, 128, 181, 255, 256, 2**200])
+# 3037000499 is isqrt(2^63 - 1): m * m fills an 8-byte slot, the widest
+# read as int64, and one more, or a longer series, takes 9 bytes
+@pytest.mark.parametrize("m", [1, 127, 128, 181, 255, 256, 2**31, 3037000499,
+                               3037000500, 2**200])
 @pytest.mark.parametrize("length", [1, 2, 16])
 def test_mul_at_the_slot_bound(m, length):
     # equal coefficients reach the bound l1(a) max|b| exactly, at the top
