@@ -4,6 +4,15 @@ Subcommands: wab (convolution tables), verify (identity suite), eta
 (quotient report and expansion), r7 (representation counts), delta (cusp
 form coefficients), decompose (basis coordinates as JSON).
 
+Each command loads only the modules it runs. At import this module loads
+``arith`` and ``errors`` of the package; each ``cmd_*`` imports its own
+modules, and ``json`` is imported only where JSON is written. So
+``wab --mode brute`` and ``r7 --mode enumerate``, which print only the
+table oracles of ``tables``, load no closed form, eta quotient or modular
+form. The parser is built from no library data: ``--form`` is checked
+against ``DELTA_FORMS`` when it is parsed, and ``decompose --n-max``
+defaults to ``MIN_DECOMPOSE_ORDER`` in ``cmd_decompose``.
+
 wab, r7 and delta print through one tabulator, which takes an ordered map
 from column header to a column: a table indexed by n, or a function of n.
 Each column is built as a list first and all rows are then formatted in
@@ -17,7 +26,8 @@ evaluate one quantity different ways: the table then gains a match
 column, and any disagreement exits 2. Each verify identity is a check at
 a given order; the suite runs it at the requested order raised to the
 identity's Sturm bound, or to 3 for the cube-root consistency check, which
-has none.
+has none. A check that raises one of the package's exception types is a
+failed identity: its name and the exception go to stderr.
 
 Exit codes: 0 success, 1 usage error, 2 table mismatch, 3 identity
 failure, 4 domain error (for example a fractional q-power, or an --n-max,
@@ -28,33 +38,30 @@ built). All arithmetic lives in the library modules.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
+from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
-from typing import Callable, Sequence, Union
 
-from . import convolution, deltaforms, representations
 from .arith import MAX_ORDER
-from .errors import FractionalExponent, NegativeValuation, OutOfRange
-from .eisenstein import l_combination
-from .eta import EtaQuotientSpec, expand, ligozat_check
-from .modforms import (
-    KNOWN_DECOMPOSITIONS,
-    MIN_DECOMPOSE_ORDER,
-    Basis28,
-    CoeffVector,
-    decompose,
-    reconstruct,
-    sturm_bound,
+from .errors import (
+    BadLeadingTerm,
+    FractionalExponent,
+    InconsistentSystem,
+    NegativeValuation,
+    NonIntegralResult,
+    OutOfRange,
+    UnderdeterminedSystem,
 )
-from .qseries import QSeries
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_IDENTITY = 3
 EXIT_DOMAIN = 4
+
+# every exception type of ``errors``: a verify check that raises one fails
+_LIBRARY_ERRORS = (BadLeadingTerm, FractionalExponent, InconsistentSystem, NegativeValuation,
+                   NonIntegralResult, OutOfRange, UnderdeterminedSystem)
 
 
 class CliUsageError(Exception):
@@ -68,10 +75,27 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _json_scalar(v: object) -> object:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return v
+class _DeltaForm(argparse.Action):
+    """``--form``: one of the names of ``DELTA_FORMS``, checked when the flag
+    is parsed, with argparse's message for an invalid choice, so that the
+    parser is built without loading them."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        from .convolution import DELTA_FORMS
+
+        if value not in DELTA_FORMS:
+            choices = ", ".join(map(repr, sorted(DELTA_FORMS)))
+            raise argparse.ArgumentError(
+                self, f"invalid choice: {value!r} (choose from {choices})")
+        setattr(namespace, self.dest, value)
+
+
+def _write_json(payload: object) -> None:
+    """payload as indented JSON, each Fraction as a "p/q" string."""
+    import json
+
+    sys.stdout.write(json.dumps(payload, indent=2,
+                                default=lambda v: f"{v.numerator}/{v.denominator}") + "\n")
 
 
 def _emit(fmt: str, header: Sequence[str], rows: Sequence[tuple[object, ...]]) -> None:
@@ -80,12 +104,11 @@ def _emit(fmt: str, header: Sequence[str], rows: Sequence[tuple[object, ...]]) -
         line = ",".join(["%s"] * len(header))
         sys.stdout.write("\n".join([",".join(header), *map(line.__mod__, rows)]) + "\n")
     else:
-        payload = [{k: _json_scalar(v) for k, v in zip(header, row)} for row in rows]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write_json([dict(zip(header, row)) for row in rows])
 
 
 # a table indexed by n (index 0 unread), or a function of n
-Column = Union[Sequence[object], Callable[[int], object]]
+Column = Sequence[object] | Callable[[int], object]
 
 
 def _table(fn: Callable[[int], object], n_max: int) -> list[object]:
@@ -139,6 +162,8 @@ def cmd_wab(args: argparse.Namespace) -> int:
 
     columns: dict[str, Column] = {}
     if args.mode in ("formula", "both"):
+        from . import convolution
+
         _, reduced = convolution.reduced_pair(a, b)
         if reduced not in convolution.FORMULAS:
             sys.stderr.write(
@@ -149,18 +174,22 @@ def cmd_wab(args: argparse.Namespace) -> int:
         # n_max // gcd(a, b), then covers the table's, to n_max // min(a, b)
         columns["w_formula"] = _table(lambda n: convolution.w_reduce(a, b, n), n_max)
     if args.mode in ("brute", "both"):
-        columns["w_brute"] = convolution.w_table(a, b, n_max)
+        from .tables import w_table
+
+        columns["w_brute"] = w_table(a, b, n_max)
     return _tabulate(args.format, n_max, columns)
 
 
 # -- verify ---------------------------------------------------------------
 
 
-def _decompose(
-    pair: tuple[int, int], order: int, rows: int
-) -> tuple[Basis28, QSeries, CoeffVector]:
+def _decompose(pair: tuple[int, int], order: int, rows: int):
     """Basis and squared Eisenstein combination at the given order, and the
-    target's coordinates solved from its first ``rows`` coefficients."""
+    target's coordinates solved from its first ``rows`` coefficients, as
+    (Basis28, QSeries, CoeffVector)."""
+    from .eisenstein import l_combination
+    from .modforms import Basis28, decompose
+
     # the target reads the sigma sieve to order, the basis only below it:
     # built first, the target builds the sieve once
     target = l_combination(pair[0], pair[1], order) ** 2
@@ -169,17 +198,21 @@ def _decompose(
 
 
 def _check_decomposition(pair: tuple[int, int], order: int) -> bool:
+    from .modforms import KNOWN_DECOMPOSITIONS, MIN_DECOMPOSE_ORDER, reconstruct
+
     basis, target, vec = _decompose(pair, order, MIN_DECOMPOSE_ORDER)
     return vec == KNOWN_DECOMPOSITIONS[pair] and reconstruct(vec, basis).equal_up_to(target, order)
 
 
 @lru_cache(maxsize=1)
-def _cube_root(order: int) -> tuple[QSeries, QSeries]:
-    """(the bracket, the level-7 form as its cube root), expanded and taken
-    once for the three identities that read them at the same order. As in
-    ``deltaforms.delta_4_7_cuberoot``, the bracket runs two indices past
-    ``order`` so the root still reaches it."""
-    bracket = deltaforms.cube_bracket(order + 2)
+def _cube_root(order: int):
+    """(the bracket, the level-7 form as its cube root), two QSeries,
+    expanded and taken once for the three identities that read them at the
+    same order. As in ``deltaforms.delta_4_7_cuberoot``, the bracket runs
+    two indices past ``order`` so the root still reaches it."""
+    from .deltaforms import cube_bracket
+
+    bracket = cube_bracket(order + 2)
     return bracket, bracket.cube_root()
 
 
@@ -189,42 +222,53 @@ def _check_cube(order: int) -> bool:
 
 
 def _check_vs_brute(formula: Callable[[int], int], pair: tuple[int, int], order: int) -> bool:
+    from .convolution import w_brute
+
     # largest n first, as in _tabulate, so each doubling table is built once
-    return all(formula(n) == convolution.w_brute(*pair, n) for n in range(order, 0, -1))
+    return all(formula(n) == w_brute(*pair, n) for n in range(order, 0, -1))
 
 
-# (name, Sturm bound or None, check(order) -> ok). cmd_verify runs each
-# check at max(order, bound or 3); 3 is the least order of the cube root.
-_IDENTITY_SUITE: list[tuple[str, int | None, Callable[[int], bool]]] = [
-    *((f"decomposition ({a},{b})", MIN_DECOMPOSE_ORDER, partial(_check_decomposition, (a, b)))
-      for a, b in KNOWN_DECOMPOSITIONS),
-    (f"cusp shift (level {representations.SHIFT_IDENTITY_LEVEL})",
-     sturm_bound(representations.SHIFT_IDENTITY_LEVEL),
-     lambda o: representations.verify_cusp_shift_identity(o)),
-    ("cube root vs eta combination", sturm_bound(7),
-     lambda o: _cube_root(o)[1] == deltaforms.delta_series("4,7", o)),
-    ("cube root consistency", None, _check_cube),
-    ("level-14 formula vs brute force", sturm_bound(14),
-     lambda o: _check_vs_brute(deltaforms.w_1_14_royer, (1, 14), o)),
-    ("level-7 formula vs brute force", sturm_bound(7),
-     lambda o: _check_vs_brute(deltaforms.w_1_7_lemire, (1, 7), o)),
-]
+def _identity_suite() -> list[tuple[str, int | None, Callable[[int], bool]]]:
+    """(name, Sturm bound or None, check(order) -> ok). cmd_verify runs each
+    check at max(order, bound or 3); 3 is the least order of the cube root."""
+    from . import deltaforms, representations
+    from .modforms import KNOWN_DECOMPOSITIONS, MIN_DECOMPOSE_ORDER, sturm_bound
+
+    return [
+        *((f"decomposition ({a},{b})", MIN_DECOMPOSE_ORDER,
+           partial(_check_decomposition, (a, b))) for a, b in KNOWN_DECOMPOSITIONS),
+        (f"cusp shift (level {representations.SHIFT_IDENTITY_LEVEL})",
+         sturm_bound(representations.SHIFT_IDENTITY_LEVEL),
+         lambda o: representations.verify_cusp_shift_identity(o)),
+        ("cube root vs eta combination", sturm_bound(7),
+         lambda o: _cube_root(o)[1] == deltaforms.delta_series("4,7", o)),
+        ("cube root consistency", None, _check_cube),
+        ("level-14 formula vs brute force", sturm_bound(14),
+         lambda o: _check_vs_brute(deltaforms.w_1_14_royer, (1, 14), o)),
+        ("level-7 formula vs brute force", sturm_bound(7),
+         lambda o: _check_vs_brute(deltaforms.w_1_7_lemire, (1, 7), o)),
+    ]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     order = _require_size(args.order, "--order", 1)
     results = []
-    for name, bound, check in _IDENTITY_SUITE:
+    for name, bound, check in _identity_suite():
         checked = max(order, bound or 3)
+        try:
+            ok = check(checked)
+        except _LIBRARY_ERRORS as exc:
+            sys.stderr.write(f"identity raised: {name}: {type(exc).__name__}: {exc}\n")
+            ok = False
         results.append({
             "identity": name,
-            "ok": check(checked),
+            "ok": ok,
             "sturm_bound": bound,
             "checked_to": checked,
         })
 
     if args.report == "json":
-        sys.stdout.write(json.dumps(results, indent=2) + "\n")
+        _write_json(results)
     else:
         for r in results:
             status = "ok " if r["ok"] else "FAIL"
@@ -247,6 +291,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_eta(args: argparse.Namespace) -> int:
+    from .eta import EtaQuotientSpec, expand, ligozat_check
+
     terms = _require_size(args.terms, "--terms", 0)
     try:
         spec = EtaQuotientSpec.from_string(args.level, args.spec)
@@ -282,18 +328,27 @@ def cmd_eta(args: argparse.Namespace) -> int:
 def cmd_r7(args: argparse.Namespace) -> int:
     n_max = _require_size(args.n_max, "--n-max", 1)
     modes = ("closed", "via-w", "enumerate") if args.mode == "all" else (args.mode,)
-    evaluators: dict[str, Column] = {
-        "closed": representations.r7_closed, "via-w": representations.r7_via_w}
-    if "enumerate" in modes:
-        evaluators["enumerate"] = representations.r7_table(n_max)
-    return _tabulate(args.format, n_max, {m.replace("-", "_"): evaluators[m] for m in modes})
+    columns: dict[str, Column] = {}
+    for mode in modes:
+        if mode == "enumerate":
+            from .tables import r7_table
+
+            columns[mode] = r7_table(n_max)
+        else:
+            from . import representations
+
+            columns[mode.replace("-", "_")] = (
+                representations.r7_closed if mode == "closed" else representations.r7_via_w)
+    return _tabulate(args.format, n_max, columns)
 
 
 # -- delta ----------------------------------------------------------------
 
 def cmd_delta(args: argparse.Namespace) -> int:
+    from .deltaforms import delta_series
+
     terms = _require_size(args.terms, "--terms", 1)
-    series = deltaforms.delta_series(args.form, terms)
+    series = delta_series(args.form, terms)
     return _tabulate(args.format, terms, {"coefficient": series.coeffs})
 
 
@@ -301,6 +356,8 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from .modforms import KNOWN_DECOMPOSITIONS, MIN_DECOMPOSE_ORDER
+
     try:
         a_txt, b_txt = args.pair.split(",")
         pair = (int(a_txt), int(b_txt))
@@ -311,15 +368,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             f"pair {pair} not supported; choose from "
             + ", ".join(f"{p[0]},{p[1]}" for p in KNOWN_DECOMPOSITIONS)
         )
-    n_max = _require_size(args.n_max, "--n-max", MIN_DECOMPOSE_ORDER)
+    n_max = MIN_DECOMPOSE_ORDER if args.n_max is None else args.n_max
+    n_max = _require_size(n_max, "--n-max", MIN_DECOMPOSE_ORDER)
 
     _, _, vec = _decompose(pair, n_max, n_max)
-    payload = {
+    _write_json({
         "pair": list(pair),
-        "x": {str(t): _json_scalar(v) for t, v in vec.x.items()},
-        "y": [_json_scalar(v) for v in vec.y],
-    }
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        "x": {str(t): v for t, v in vec.x.items()},
+        "y": list(vec.y),
+    })
     return EXIT_OK
 
 
@@ -356,14 +413,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_r7)
 
     p = sub.add_parser("delta", help="coefficients of the named cusp form")
-    p.add_argument("--form", choices=sorted(deltaforms.DELTA_FORMS), required=True)
+    p.add_argument("--form", action=_DeltaForm, required=True)
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("decompose", help="basis coordinates of a squared combination")
     p.add_argument("--pair", type=str, required=True)
-    p.add_argument("--n-max", type=int, default=MIN_DECOMPOSE_ORDER)
+    # None: MIN_DECOMPOSE_ORDER, read in cmd_decompose
+    p.add_argument("--n-max", type=int)
     p.set_defaults(func=cmd_decompose)
 
     return parser

@@ -3,15 +3,12 @@
 evaluator behind every closed form in the package.
 
 Two oracles compute W from its definition. ``w_brute`` is the point
-oracle: the defining sum at one n, taken term by term over the shared
-sigma table of ``arith``. ``w_table`` is the whole-table oracle: W(0..N)
-is the coefficient list of (sum sigma(l) q^(al)) (sum sigma(m) q^(bm)),
-one call of the product engine of ``qseries``, which splits the join of
-the two dilated sigma lists into short joins. The per-row oracle shares no
-code with the closed forms beyond the sigma table, which the tests check
-against trial division; the table oracle also shares the product engine
-with the sparse eta products, and the tests check that engine against a
-schoolbook product and ``w_table`` against ``w_brute``.
+oracle here: the defining sum at one n, taken term by term over the shared
+sigma table of ``arith``. It shares no code with the closed forms beyond
+the sigma table, which the tests check against trial division. The
+whole-table oracle ``tables.w_table`` is the coefficient list of
+(sum sigma(l) q^(al)) (sum sigma(m) q^(bm)), in a module that loads no
+closed form; the tests check it against ``w_brute``.
 
 Each closed form (the five W_{a,b} formulas here, the level-7 and level-14
 formulas in ``deltaforms``, and the three R_7 tables in ``representations``)
@@ -47,10 +44,9 @@ from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import arith, eta
-from .arith import check_int, check_size, exact_fraction, over_common_denominator, sigma_table
+from .arith import check_int, exact_fraction, over_common_denominator, sigma_table
 from .errors import NonIntegralResult
 from .eta import _cusp_series, shared_cusp_table
-from .qseries import Dense, product
 
 Pair = tuple[int, int]
 
@@ -259,25 +255,6 @@ def _w_brute(a: int, b: int, n: int) -> int:
     s = sigma_table(1, max((n - b) // a, m_max))
     # the l slice runs on to l <= 0 (at most s[0] = 0); map stops with the m slice
     return sum(map(mul, s[m0 : m_max + 1 : step_m], s[l0::-step_l]))
-
-
-def w_table(a: int, b: int, n_max: int) -> list[int]:
-    """W_{a,b}(0), ..., W_{a,b}(n_max) as one list, with W(0) = 0: the
-    whole-table oracle.
-
-    The sum over a*l + b*m = n is the q^n coefficient of
-    (sum sigma(l) q^(a*l)) (sum sigma(m) q^(b*m)), so the table is the
-    product of two dense factors, one sigma table in q^a and in q^b. The
-    engine divides out gcd(a, b) and joins each residue class of one side
-    with one of the other: ab / gcd(a, b)^2 Kronecker products of about
-    n_max gcd(a, b) / (ab) coefficients, or only the n_max / gcd(a, b) + 1
-    classes that start at or below n_max when that is fewer. n_max must be
-    at most ``arith.MAX_ORDER``.
-    """
-    check_int("w_table", "a", a, 1, "b", b, 1, "n_max", n_max, 0)
-    check_size("w_table", n_max)
-    s = sigma_table(1, n_max // min(a, b))
-    return product(n_max, [Dense(s, a), Dense(s, b)])
 
 
 # each closed form's label, made once: "W(1, 28)" for the pair (1, 28)

@@ -10,18 +10,16 @@ agreement is the package's strongest end-to-end check.
 
 Enumeration comes in two shapes. The point oracles ``r4_enumerate`` and
 ``r7_enumerate`` walk the disc x^2 + y^2 <= n once per call into the
-two-square counts r2(0..n) and sum dot products over them; they keep no
-cache and share no code with ``qseries``. The table oracle ``r7_table``
-walks the disc once and forms the series r4 = r2 * r2 and
-R7 = r4(q) * r4(q^7) by two calls of the product engine of ``qseries``,
-which the sparse eta products also use; the tests check it against
-``r7_enumerate`` at every n.
+two-square counts r2(0..n) (``tables._r2_table``) and sum dot products
+over them; they keep no cache and share no code with ``qseries``. The
+table oracle ``tables.r7_table`` walks the disc once and forms the series
+r4 = r2 * r2 and R7 = r4(q) * r4(q^7) by the product engine of
+``qseries``; the tests check it against ``r7_enumerate`` at every n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from operator import mul
 
 from .arith import check_int, check_size, over_common_denominator, sigma, sigma_scaled
@@ -37,7 +35,8 @@ from .convolution import (
 from .deltaforms import delta_series
 from .eta import c_series
 from .modforms import sturm_bound
-from .qseries import Dense, QSeries, product
+from .qseries import QSeries
+from .tables import _r2_table
 
 
 def r4_jacobi(n: int) -> int:
@@ -49,18 +48,6 @@ def r4_jacobi(n: int) -> int:
     if n == 0:
         return 1
     return 8 * sigma(1, n) - 32 * sigma_scaled(1, n, 4)
-
-
-def _r2_table(n: int) -> list[int]:
-    """The two-square counts r2(0), ..., r2(n) for n >= 0, from the lattice
-    points of the disc x^2 + y^2 <= n: the nonnegative quadrant is walked
-    with weight 2 per nonzero coordinate."""
-    r2 = [0] * (n + 1)
-    for x in range(isqrt(n) + 1):
-        wx, x2 = (2 if x else 1), x * x
-        for y in range(isqrt(n - x2) + 1):
-            r2[x2 + y * y] += wx * (2 if y else 1)
-    return r2
 
 
 def _r4_at(r2: list[int], k: int) -> int:
@@ -89,18 +76,6 @@ def r7_enumerate(n: int) -> int:
     check_size("r7_enumerate", n)
     r2 = _r2_table(n)
     return sum(_r4_at(r2, n - 7 * m) * _r4_at(r2, m) for m in range(n // 7 + 1))
-
-
-def r7_table(n_max: int) -> list[int]:
-    """R7(0), ..., R7(n_max) as one list, with R7(0) = 1: the whole-table
-    oracle. r4 = r2 * r2 and R7 = r4(q) * r4(q^7) as series over one disc
-    walk: one Kronecker square, then seven joins of one residue class of
-    r4 mod 7 with r4(q^7). n_max must be at most ``arith.MAX_ORDER``."""
-    check_int("r7_table", "n_max", n_max, 0)
-    check_size("r7_table", n_max)
-    r2 = _r2_table(n_max)
-    r4 = product(n_max, [Dense(r2), Dense(r2)])
-    return product(n_max, [Dense(r4), Dense(r4, 7)])
 
 
 # R_7 = 8 sigma(n) - 32 sigma(n/4) + 8 sigma(n/7) - 32 sigma(n/28) + 64 W_{1,7}(n)

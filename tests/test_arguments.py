@@ -20,7 +20,6 @@ from sigma_convolve.convolution import (
     w_brute,
     w_formula,
     w_reduce,
-    w_table,
 )
 from sigma_convolve.deltaforms import (
     cube_bracket,
@@ -39,10 +38,10 @@ from sigma_convolve.representations import (
     r7_closed,
     r7_closed_raw,
     r7_enumerate,
-    r7_table,
     r7_via_w,
     verify_cusp_shift_identity,
 )
+from sigma_convolve.tables import r7_table, w_table
 
 SERIES = QSeries([1, 3, 3, 1], 3)
 SPEC = EtaQuotientSpec(28, {28: 6})

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from sigma_convolve import arith, cli, deltaforms, eta, modforms, representations
+from sigma_convolve import arith, cli, convolution, deltaforms, eta, modforms, representations
 from sigma_convolve.cli import (
     EXIT_DOMAIN,
     EXIT_IDENTITY,
@@ -135,7 +135,7 @@ def test_wab_scaled_pair_uses_reduction(capsys):
 
 def test_wab_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli.convolution, "w_reduce", lambda a, b, n: 999
+        convolution, "w_reduce", lambda a, b, n: 999
     )
     code, out, _ = run_cli(
         capsys, "wab", "--a", "1", "--b", "28", "--n-max", "2", "--mode", "both"
@@ -245,6 +245,30 @@ def test_verify_reports_a_non_integral_identity_as_failed(capsys, monkeypatch):
     assert "FAIL cusp shift (level 56)" in out
     assert "9/10 identities verified" in out
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("report", ["text", "json"])
+def test_verify_reports_a_raising_identity_as_failed(capsys, monkeypatch, fresh_cusp_store,
+                                                      report):
+    # C_1 without its eta(14z)^-1 has q-power 38/24, so every identity that
+    # reads C_1 raises FractionalExponent; the cube root reads no generator
+    monkeypatch.setitem(eta.CUSP_GENERATORS[1], 14, 0)
+    cli._cube_root.cache_clear()
+    code, out, err = run_cli(capsys, "verify", "--order", "16", "--report", report)
+    cli._cube_root.cache_clear()
+    assert code == EXIT_IDENTITY
+    if report == "json":
+        ok = {r["identity"]: r["ok"] for r in json.loads(out)}
+        assert ok["decomposition (1,28)"] is False
+        assert ok["cube root consistency"] is True
+    else:
+        assert "FAIL decomposition (1,28) (sturm bound 16, checked to 16)" in out
+        assert "ok  cube root consistency" in out
+        assert "1/10 identities verified" in out
+    assert ("identity raised: decomposition (1,28): FractionalExponent:"
+            " q-exponent 38/24 is not an integer\n") in err
+    assert "cube root consistency" not in err
+    assert err.endswith("identity failed: decomposition (1,28)\n")
 
 
 def test_verify_takes_one_cube_root(capsys, monkeypatch):
@@ -438,7 +462,7 @@ def test_cli_expands_only_the_generators_its_table_reads(capsys, fresh_cusp_stor
 ])
 def test_oracle_columns_read_whole_tables(capsys, monkeypatch, fresh_cusp_store, argv,
                                           point_oracle):
-    module = cli.convolution if point_oracle == "w_brute" else cli.representations
+    module = convolution if point_oracle == "w_brute" else representations
 
     def no_point_oracle(*args):
         raise AssertionError(f"{point_oracle}{args} called")
@@ -491,7 +515,7 @@ def test_r7_json_rows(capsys):
 
 def test_r7_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli.representations, "r7_closed", lambda n: -1
+        representations, "r7_closed", lambda n: -1
     )
     code, out, _ = run_cli(capsys, "r7", "--n-max", "2")
     assert code == EXIT_MISMATCH

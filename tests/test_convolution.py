@@ -19,13 +19,13 @@ from sigma_convolve.convolution import (
     w_brute,
     w_formula,
     w_reduce,
-    w_table,
 )
 from sigma_convolve.deltaforms import LEMIRE_1_7, ROYER_1_14, w_1_7_lemire, w_1_14_royer
 from sigma_convolve.eisenstein import l_combination
 from sigma_convolve.errors import NonIntegralResult, OutOfRange
 from sigma_convolve.eta import CuspTable, c_series, cusp_spec, expand
 from sigma_convolve.representations import R7_CLOSED, R7_CLOSED_RAW, r7_closed
+from sigma_convolve.tables import w_table
 
 REFERENCE_N = 200
 # sigma(0..REFERENCE_N) by summing divisors one by one, shared with nothing

@@ -14,10 +14,10 @@ from sigma_convolve.representations import (
     r7_closed,
     r7_closed_raw,
     r7_enumerate,
-    r7_table,
     r7_via_w,
     verify_cusp_shift_identity,
 )
+from sigma_convolve.tables import r7_table
 
 
 def r4_octant_walk(n: int) -> int:
