@@ -7,6 +7,7 @@ The exception runs ``python -m sigma_convolve.cli`` as a subprocess to
 cover the module entry point itself.
 """
 
+import argparse
 import contextlib
 import functools
 import io
@@ -29,6 +30,7 @@ from sigma_convolve.cli import (
     EXIT_USAGE,
     main,
 )
+from sigma_convolve.convolution import DELTA_FORMS
 from sigma_convolve.deltaforms import delta_series
 from sigma_convolve.modforms import KNOWN_DECOMPOSITIONS, CoeffVector
 from sigma_convolve.qseries import QSeries
@@ -564,6 +566,20 @@ def test_delta_rejects_unknown_form(capsys):
     code, _, err = run_cli(capsys, "delta", "--form", "5,7", "--terms", "3")
     assert code == EXIT_USAGE
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [("--terms", "3"), ()])
+def test_delta_unknown_form_reads_as_an_argparse_choice(capsys, argv):
+    # the names are checked when --form is parsed, with the message and at
+    # the point of a choices list, so a missing --terms is not reported first
+    reference = argparse.ArgumentParser(exit_on_error=False)
+    reference.add_argument("--form", choices=sorted(DELTA_FORMS))
+    with pytest.raises(argparse.ArgumentError) as expected:
+        reference.parse_args(["--form", "5,7"])
+    code, out, err = run_cli(capsys, "delta", "--form", "5,7", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {expected.value}\n"
 
 
 # -- decompose ----------------------------------------------------------
