@@ -255,9 +255,7 @@ def test_verify_reports_a_raising_identity_as_failed(capsys, monkeypatch, fresh_
     # C_1 without its eta(14z)^-1 has q-power 38/24, so every identity that
     # reads C_1 raises FractionalExponent; the cube root reads no generator
     monkeypatch.setitem(eta.CUSP_GENERATORS[1], 14, 0)
-    cli._cube_root.cache_clear()
     code, out, err = run_cli(capsys, "verify", "--order", "16", "--report", report)
-    cli._cube_root.cache_clear()
     assert code == EXIT_IDENTITY
     if report == "json":
         ok = {r["identity"]: r["ok"] for r in json.loads(out)}
