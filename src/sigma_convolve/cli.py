@@ -42,16 +42,9 @@ import sys
 from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
 
+from . import errors
 from .arith import MAX_ORDER
-from .errors import (
-    BadLeadingTerm,
-    FractionalExponent,
-    InconsistentSystem,
-    NegativeValuation,
-    NonIntegralResult,
-    OutOfRange,
-    UnderdeterminedSystem,
-)
+from .errors import FractionalExponent, NegativeValuation, OutOfRange
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,9 +52,10 @@ EXIT_MISMATCH = 2
 EXIT_IDENTITY = 3
 EXIT_DOMAIN = 4
 
-# every exception type of ``errors``: a verify check that raises one fails
-_LIBRARY_ERRORS = (BadLeadingTerm, FractionalExponent, InconsistentSystem, NegativeValuation,
-                   NonIntegralResult, OutOfRange, UnderdeterminedSystem)
+# every exception type that ``errors`` defines: a verify check that raises one fails
+_LIBRARY_ERRORS = tuple(v for v in vars(errors).values()
+                        if isinstance(v, type) and issubclass(v, Exception)
+                        and v.__module__ == errors.__name__)
 
 
 class CliUsageError(Exception):
@@ -75,19 +69,20 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-class _DeltaForm(argparse.Action):
-    """``--form``: one of the names of ``DELTA_FORMS``, checked when the flag
-    is parsed, with argparse's message for an invalid choice, so that the
-    parser is built without loading them."""
+class _DeltaFormNames:
+    """The sorted names of ``DELTA_FORMS`` as ``--form``'s choices, loaded
+    when argparse first reads them: when the flag is parsed or help is
+    printed, not when the parser is built."""
 
-    def __call__(self, parser, namespace, value, option_string=None):
+    def __iter__(self):
         from .convolution import DELTA_FORMS
 
-        if value not in DELTA_FORMS:
-            choices = ", ".join(map(repr, sorted(DELTA_FORMS)))
-            raise argparse.ArgumentError(
-                self, f"invalid choice: {value!r} (choose from {choices})")
-        setattr(namespace, self.dest, value)
+        return iter(sorted(DELTA_FORMS))
+
+    def __contains__(self, value: object) -> bool:
+        from .convolution import DELTA_FORMS
+
+        return value in DELTA_FORMS
 
 
 def _write_json(payload: object) -> None:
@@ -413,7 +408,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_r7)
 
     p = sub.add_parser("delta", help="coefficients of the named cusp form")
-    p.add_argument("--form", action=_DeltaForm, required=True)
+    # a metavar, so that add_argument does not list the choices
+    p.add_argument("--form", choices=_DeltaFormNames(), metavar="FORM", required=True,
+                   help="one of %(choices)s")
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_delta)

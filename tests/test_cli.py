@@ -580,6 +580,13 @@ def test_delta_unknown_form_reads_as_an_argparse_choice(capsys, argv):
     assert err == f"error: {expected.value}\n"
 
 
+def test_delta_help_lists_the_forms(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["delta", "--help"])
+    assert done.value.code == 0
+    assert f"one of {', '.join(sorted(DELTA_FORMS))}" in capsys.readouterr().out
+
+
 # -- decompose ----------------------------------------------------------
 
 
